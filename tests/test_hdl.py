@@ -1,10 +1,12 @@
 """Tests for the SCALD HDL: expressions, parser, and macro expander."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hdl.expander import ExpansionError, MacroExpander, expand_source
 from repro.hdl.expr import ExpressionError, evaluate, evaluate_int
-from repro.hdl.parser import ScaldSyntaxError, parse
+from repro.hdl.parser import ScaldSyntaxError, parse, tokenize
 
 
 class TestExpressions:
@@ -38,6 +40,169 @@ class TestExpressions:
             evaluate("(2")
         with pytest.raises(ExpressionError):
             evaluate("2 3")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2+", "unexpected end of expression"),
+            ("(2", "unexpected end of expression"),
+            ("2 3", "trailing input in expression '2 3'"),
+            ("2 $", "bad character in expression '2 $' at 1"),
+            ("WIDTH", "unknown parameter 'WIDTH'"),
+            ("1/0", "division by zero in expression"),
+        ],
+    )
+    def test_malformed_messages(self, text, message):
+        with pytest.raises(ExpressionError) as exc:
+            evaluate(text)
+        assert str(exc.value) == message
+
+    def test_not_an_integer_message(self):
+        with pytest.raises(ExpressionError) as exc:
+            evaluate_int("SIZE/3", {"SIZE": 8})
+        assert str(exc.value) == "expression 'SIZE/3' is not an integer"
+
+
+# Expression trees for the evaluate() property: a leaf is its own source
+# text; a node is ("neg", x) or (op, lhs, rhs).
+_ENV = {"SIZE": 32, "HALF": 0.5, "ZERO": 0}
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+_LEAVES = st.one_of(
+    st.integers(0, 99).map(str),
+    st.builds(lambda i, f: f"{i}.{f}", st.integers(0, 9), st.integers(0, 99)),
+    st.sampled_from(sorted(_ENV)),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda sub: st.one_of(
+        st.tuples(st.just("neg"), sub),
+        st.tuples(st.sampled_from(sorted(_PRECEDENCE)), sub, sub),
+    ),
+    max_leaves=12,
+)
+
+
+def _render(tree, extra_parens) -> str:
+    """Source text for ``tree``, parenthesized where the grammar needs it
+    (and wherever ``extra_parens`` draws True)."""
+    if isinstance(tree, str):
+        return tree
+    if tree[0] == "neg":
+        inner = _render(tree[1], extra_parens)
+        if not isinstance(tree[1], str) and tree[1][0] != "neg":
+            inner = f"( {inner} )"
+        return f"- {inner}"
+    op, lhs, rhs = tree
+    parts = []
+    for side, child in (("lhs", lhs), ("rhs", rhs)):
+        text = _render(child, extra_parens)
+        needed = not isinstance(child, str) and child[0] != "neg" and (
+            _PRECEDENCE[child[0]] < _PRECEDENCE[op]
+            or (side == "rhs" and _PRECEDENCE[child[0]] == _PRECEDENCE[op])
+        )
+        if needed or extra_parens():
+            text = f"( {text} )"
+        parts.append(text)
+    return f"{parts[0]} {op} {parts[1]}"
+
+
+def _tree_value(tree):
+    """Reference semantics: true division, an integral quotient becomes an
+    ``int``, division by zero raises ExpressionError."""
+    if isinstance(tree, str):
+        if tree in _ENV:
+            return _ENV[tree]
+        return float(tree) if "." in tree else int(tree)
+    if tree[0] == "neg":
+        return -_tree_value(tree[1])
+    op, lhs, rhs = tree
+    a, b = _tree_value(lhs), _tree_value(rhs)
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if b == 0:
+        raise ExpressionError("division by zero in expression")
+    quotient = a / b
+    return int(quotient) if quotient.is_integer() else quotient
+
+
+class TestExpressionProperty:
+    @given(_TREES, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_evaluate_matches_tree_semantics(self, tree, data):
+        text = _render(tree, lambda: data.draw(st.booleans()))
+        try:
+            want = _tree_value(tree)
+        except ExpressionError as exc:
+            with pytest.raises(ExpressionError) as got:
+                evaluate(text, _ENV)
+            assert str(got.value) == str(exc)
+            return
+        got = evaluate(text, _ENV)
+        assert got == want and type(got) is type(want), text
+
+
+class TestTokenizer:
+    SOURCE = (
+        "-- header comment\n"
+        "design T;  -- trailing comment\n"
+        "\n"
+        "\t\n"
+        'wire "MULTI\n'
+        'LINE \\"Q\\"" 0.5:2;\n'
+        "-- between\n"
+        "prim BUF b (I=-\"A\"/P<0:SIZE-1>)&x;\n"
+    )
+
+    def test_tokens_and_lines(self):
+        got = [(t.kind, t.text, t.line) for t in tokenize(self.SOURCE)]
+        assert got == [
+            ("ident", "design", 2),
+            ("ident", "T", 2),
+            ("sym", ";", 2),
+            ("ident", "wire", 5),
+            ("string", 'MULTI\nLINE "Q"', 5),
+            ("number", "0.5", 6),
+            ("sym", ":", 6),
+            ("number", "2", 6),
+            ("sym", ";", 6),
+            ("ident", "prim", 8),
+            ("ident", "BUF", 8),
+            ("ident", "b", 8),
+            ("sym", "(", 8),
+            ("ident", "I", 8),
+            ("sym", "=", 8),
+            ("sym", "-", 8),
+            ("string", "A", 8),
+            ("sym", "/", 8),
+            ("ident", "P", 8),
+            ("sym", "<", 8),
+            ("number", "0", 8),
+            ("sym", ":", 8),
+            ("ident", "SIZE", 8),
+            ("sym", "-", 8),
+            ("number", "1", 8),
+            ("sym", ">", 8),
+            ("sym", ")", 8),
+            ("sym", "&", 8),
+            ("ident", "x", 8),
+            ("sym", ";", 8),
+        ]
+
+    def test_bad_character_line(self):
+        with pytest.raises(ScaldSyntaxError) as exc:
+            tokenize(self.SOURCE + "\n-- x\n  $ design;\n", "f.scald")
+        assert exc.value.line == 11
+        assert str(exc.value) == "f.scald:11: unexpected character '$'"
+
+    def test_trailing_comment_without_newline(self):
+        got = [(t.kind, t.text, t.line) for t in tokenize("a -- end")]
+        assert got == [("ident", "a", 1)]
+        assert tokenize("  \n-- only a comment") == []
 
 
 HEADER = "design T; period 50 ns; clock_unit 6.25 ns;\n"
