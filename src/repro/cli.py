@@ -266,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.json:
             import json
 
-            doc = profile_json(result)
+            doc = profile_json(result, expander.stats)
             if fmax is not None:
                 from .reporting.stafmt import fmax_doc
 
@@ -274,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(doc, indent=2))
         else:
             say()
-            say(profile_report(result))
+            say(profile_report(result, expander.stats))
     if args.storage:
         from .core.engine import Engine
         from .reporting.stats import measure_storage

@@ -43,7 +43,8 @@ import re
 from dataclasses import dataclass, field, replace
 from fnmatch import fnmatchcase
 
-from .sdc import Finding, SdcCommand, SdcError, ns_to_ps
+from ..core.timeline import ns_to_ps
+from .sdc import Finding, SdcCommand
 
 _CHECKER_PRIMS = frozenset({"SETUP_HOLD_CHK", "SETUP_RISE_HOLD_FALL_CHK"})
 _RS_PRIMS = frozenset({"REG_RS", "LATCH_RS"})
@@ -380,10 +381,11 @@ class _Resolver:
                 cmd,
             )
             return None
-        names = (source,) if isinstance(source, str) else tuple(source)
         try:
-            return ns_to_ps(str(names[0]))
-        except (SdcError, IndexError):
+            names = (source,) if isinstance(source, str) else tuple(source)
+            # The conversion .scald times get: exact, and NaN/inf rejected.
+            return ns_to_ps(float(names[0]))
+        except (TypeError, ValueError, IndexError):
             self.finding(
                 "sdc.syntax-error",
                 "error",

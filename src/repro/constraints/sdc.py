@@ -11,9 +11,11 @@ the ``sdc.syntax-error`` / ``sdc.unknown-command`` pseudo-rules (the same
 diagnostics discipline as the lint pipeline's ``syntax-error``) and the
 parser keeps going, so one bad line never hides the rest of the file.
 
-Values are nanoseconds on the SDC surface (the API-boundary unit) and are
-converted to integer picoseconds here — nothing downstream ever sees a
-float.
+Values are nanoseconds on the SDC surface (the API-boundary unit).
+Resolution converts them to integer picoseconds with the exact
+``core.timeline.ns_to_ps`` that ``.scald`` times go through, so one
+literal means the same time in both files and nothing downstream ever
+sees a float.
 """
 
 from __future__ import annotations
@@ -142,15 +144,6 @@ def _as_names(value) -> tuple[str, ...]:
             out.extend(_as_names(item))
         return tuple(out)
     return (str(value),)
-
-
-def ns_to_ps(text: str) -> int:
-    """Convert an SDC nanosecond literal to integer picoseconds."""
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise SdcError(f"expected a number, got {text!r}") from exc
-    return int(round(value * 1000))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ Defaults reproduce the rules used to examine the S-1 Mark IIA:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .timeline import ns_to_ps
 
@@ -66,11 +67,15 @@ class VerifyConfig:
             memoize_evaluation=False,
         )
 
-    @property
+    # The picosecond forms depend only on the (frozen) fields, so each is
+    # converted on first use and then read from the instance dict: the
+    # engine asks for them once per prepared input.
+
+    @cached_property
     def wire_delay_per_load_ps(self) -> int:
         return ns_to_ps(self.wire_delay_per_load_ns)
 
-    @property
+    @cached_property
     def default_wire_delay_ps(self) -> tuple[int, int]:
         lo, hi = self.default_wire_delay_ns
         return ns_to_ps(lo), ns_to_ps(hi)

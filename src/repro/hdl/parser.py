@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class ScaldSyntaxError(ValueError):
@@ -129,21 +130,24 @@ class Design:
 # tokenizer
 # ---------------------------------------------------------------------------
 
+#: One match per token: the leading run of whitespace and ``--`` comments
+#: is consumed inside the match.  The token group is optional, so a match
+#: without one marks the end of input or a character no token starts with.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>--[^\n]*)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<number>\d+(?:\.\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<sym>[;,()<>:=&/\-+*])
+    (?:\s+|--[^\n]*)*
+    (?:
+        (?P<string>"(?:[^"\\]|\\.)*")
+      | (?P<number>\d+(?:\.\d+)?)
+      | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<sym>[;,()<>:=&/\-+*])
+    )?
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "string" | "number" | "ident" | "sym"
     text: str
     line: int
@@ -153,19 +157,22 @@ def tokenize(source: str, filename: str = "") -> list[Token]:
     tokens: list[Token] = []
     line = 1
     pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if not m:
-            raise ScaldSyntaxError(
-                f"unexpected character {source[pos]!r}", line, filename
-            )
-        text = m.group(0)
-        kind = m.lastgroup or ""
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        start = m.start(kind) if kind else m.end()
+        line += source.count("\n", pos, start)
+        if kind is None:
+            if start < len(source):
+                raise ScaldSyntaxError(
+                    f"unexpected character {source[start]!r}", line, filename
+                )
+            break
+        text = m.group(kind)
         if kind == "string":
-            tokens.append(Token("string", text[1:-1].replace('\\"', '"'), line))
-        elif kind in ("number", "ident", "sym"):
+            tokens.append(Token(kind, text[1:-1].replace('\\"', '"'), line))
+            line += text.count("\n")
+        else:
             tokens.append(Token(kind, text, line))
-        line += text.count("\n")
         pos = m.end()
     return tokens
 

@@ -151,6 +151,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "scald-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle's algorithm on, the
+    # body waits for the client's delayed ACK of the headers (~40 ms).
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # plumbing
@@ -161,7 +164,14 @@ class _Handler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        if not (header.isascii() and header.isdigit()):
+            # Checked before any read: read(-1) would wait for end of
+            # stream.  The body's extent is unknown, so the connection
+            # cannot carry another request either.
+            self.close_connection = True
+            raise ServerError(400, f"bad Content-Length header: {header!r}")
+        length = int(header)
         if length == 0:
             return {}
         raw = self.rfile.read(length)
@@ -178,6 +188,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 

@@ -20,7 +20,7 @@ from repro.constraints import (
     parse_sdc,
     resolve,
 )
-from repro.constraints.sdc import ns_to_ps
+from repro.core.timeline import ns_to_ps
 from repro.core.violations import ViolationKind
 from repro.hdl.expander import MacroExpander
 from repro.sta import analyze, check_encloses, compute_slack, compute_windows
@@ -181,6 +181,31 @@ class TestResolve:
         assert any(
             f.rule == "sdc.uncertainty-exceeds-period" for f in cs.errors
         )
+
+    @pytest.mark.parametrize("text, ps", [("0.5015", 502), ("2.0005", 2_000)])
+    def test_times_convert_like_scald_times(self, text, ps):
+        """Round half to even on the exact decimal, as for a .scald
+        ``delay=``; a float product would give 501 ps for 0.5015."""
+        c = expand(SHIFTER)
+        cs = resolve(
+            parse_sdc(
+                'create_clock -period 50 -name MAINCLK "MAIN CLK .P2-3"\n'
+                f"set_clock_uncertainty {text} MAINCLK\n"
+            )[0],
+            c,
+        )
+        assert cs.ok
+        assert {m.uncertainty_ps for m in cs.checker_mods.values()} == {ps}
+        assert ns_to_ps(float(text)) == ps
+
+    @pytest.mark.parametrize(
+        "value", ["nan", "inf", "-inf", "1e400", "abc", "[get_clocks MAINCLK]"]
+    )
+    def test_non_finite_value_is_a_syntax_finding(self, value):
+        c = expand(SHIFTER)
+        cs = resolve(parse_sdc(f"set_clock_uncertainty {value} MAINCLK\n")[0], c)
+        assert [f.rule for f in cs.errors] == ["sdc.syntax-error"]
+        assert "expected a number" in cs.errors[0].message
 
     def test_default_mods_are_dropped(self):
         # A 1-cycle multicycle is the default; it must not mark checkers
@@ -415,6 +440,17 @@ class TestCli:
         bad.write_text("set_false_path -to NOSUCHPIN\n")
         assert main([SHIFTER, "--sdc", str(bad)]) == 1
         assert "sdc.unresolved-pin" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+    def test_scald_tv_bad_sdc_number_is_a_finding(self, value, tmp_path, capsys):
+        from repro.cli import main
+
+        bad = tmp_path / "bad.sdc"
+        bad.write_text(f"set_clock_uncertainty {value} MAINCLK\n")
+        assert main([SHIFTER, "--sdc", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert f"set_clock_uncertainty: expected a number, got '{value}'" in out
+        assert "sdc.syntax-error" in out
 
     def test_scald_sta_json_purity(self, capsys):
         from repro.sta.cli import main

@@ -6,7 +6,11 @@ the HTTP layer can only ever be a transport, never a second
 implementation.
 """
 
+import json
+import socket
+import statistics
 import threading
+import time
 
 import pytest
 
@@ -73,6 +77,37 @@ class TestLifecycle:
         with pytest.raises(ServerError) as exc:
             client._request("POST", "/frobnicate")
         assert exc.value.status == 404
+
+
+class TestTransport:
+    def test_small_responses_do_not_stall(self, client):
+        """Headers and body go out in two writes.  With Nagle's algorithm
+        on, the body waits for the client's delayed ACK (a 40 ms kernel
+        timer), so the bound below has a 2x margin over the stall."""
+        client.health()
+        times = []
+        for _ in range(20):
+            t0 = time.perf_counter()
+            client.health()
+            times.append(time.perf_counter() - t0)
+        assert statistics.median(times) < 0.020
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_bad_content_length_is_a_400(self, server, length):
+        request = (
+            "POST /sessions HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        )
+        with socket.create_connection(("127.0.0.1", server.port), timeout=3) as sock:
+            sock.sendall(request.encode())
+            reply = b""
+            while chunk := sock.recv(4096):  # the server closes after replying
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body) == {
+            "error": f"bad Content-Length header: '{length}'"
+        }
 
 
 class TestVerifyOverHttp:
