@@ -48,9 +48,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="verify in N parallel worker processes: cases are sharded "
-        "into contiguous blocks, and a single-case design is partitioned "
-        "along its register/feedback cuts (default 1: serial in-process)",
+        help="verify in N parallel worker processes, cases sharded into "
+        "contiguous blocks; a single-case design runs serially "
+        "(default 1: serial in-process)",
     )
     parser.add_argument(
         "--wire-delay", metavar="MIN:MAX", default=None,

@@ -50,8 +50,6 @@ class VerifyConfig:
     #: LRU over the gate/register/latch/mux models keyed on everything that
     #: can affect their output.
     memoize_evaluation: bool = True
-    #: Maximum entries in the primitive-evaluation LRU.
-    eval_memo_size: int = 8192
 
     def naive(self) -> "VerifyConfig":
         """This configuration with every engine optimisation disabled.

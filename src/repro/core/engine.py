@@ -63,6 +63,10 @@ _GATE_PRIMS = frozenset(GATE_FUNCTIONS)
 #: section 1.2.2).
 _SEQUENTIAL_PRIMS = frozenset({"REG", "REG_RS", "LATCH", "LATCH_RS"})
 
+#: Maximum entries in each LRU memo (primitive evaluation, checker
+#: verdicts).
+_MEMO_SIZE = 8192
+
 
 class OscillationError(RuntimeError):
     """The fixed point failed to converge — an unbroken feedback loop.
@@ -265,11 +269,6 @@ class Engine:
         #: on the scalar fast path.
         self._word_needed = False
         self._fixed: set[Net] = set()
-        #: Partition scope (``repro.parallel``): when set, only components
-        #: named here may enter the worklist — boundary values adopted from
-        #: other partitions still store and fan out, but their loads outside
-        #: the scope are someone else's work.  None means unrestricted.
-        self._scope: set[str] | None = None
         self._gating: dict[str, str] = {}  # component name -> directive pin
         self._eval_counts: dict[str, int] = {}
         #: Worklist: a FIFO deque in the naive engine, a rank-keyed heap of
@@ -322,62 +321,6 @@ class Engine:
         """Swap the resolved constraint set, invalidating cached verdicts."""
         self.constraints = constraints
         self._constraints_token += 1
-
-    # ------------------------------------------------------------------
-    # partition support (repro.parallel single-case sharding)
-    # ------------------------------------------------------------------
-
-    def set_scope(self, names) -> None:
-        """Restrict the worklist to the named components; None lifts it.
-
-        Under a scope, adopted boundary values still store and fan out,
-        but loads outside the scope never enter the worklist — they are
-        another partition's responsibility.
-        """
-        self._scope = set(names) if names is not None else None
-
-    def component_ranks(self) -> dict[str, int]:
-        """A copy of the levelized ranks (partition planning reads them)."""
-        return dict(self._ranks)
-
-    def adopt_values(self, items) -> None:
-        """Adopt externally converged net values (boundary exchange).
-
-        ``items`` yields ``(net_name, base, lanes)`` with ``lanes`` a
-        sparse ``{lane: Waveform}`` override dict or None.  Values are
-        interned and stored verbatim — not re-evaluated and not passed
-        through the case map, because the sending partition already
-        applied its case mapping; a transfer is not an evaluation, so
-        ``stats.events`` is untouched.  Loads of a changed net are
-        enqueued (the scope filter applies), which is exactly how an
-        adopted change propagates into this partition.
-        """
-        for name, base, lanes in items:
-            net = self.circuit.nets.get(name)
-            if net is None:
-                continue
-            rep = self.circuit.find(net)
-            if rep in self._fixed:
-                continue
-            base = self._intern(base)
-            new_lanes = (
-                {lane: self._intern(wf) for lane, wf in lanes.items()}
-                if lanes
-                else None
-            )
-            prev = self.values.get(rep)
-            if (prev is base or prev == base) and (
-                self._lanes.get(rep) or None
-            ) == new_lanes:
-                continue
-            self.values[rep] = base
-            if new_lanes:
-                self._lanes[rep] = new_lanes
-                self._word_needed = True
-            else:
-                self._lanes.pop(rep, None)
-            for load in self._loads.get(rep, ()):
-                self._enqueue(load)
 
     def _compute_ranks(self) -> dict[str, int]:
         """Topological depth of every non-checker component.
@@ -689,8 +632,6 @@ class Engine:
     def _enqueue(self, comp: Component) -> None:
         if comp.prim.is_checker or comp.name in self._queued:
             return
-        if self._scope is not None and comp.name not in self._scope:
-            return
         if self.config.levelized_scheduling:
             heapq.heappush(
                 self._heap, (self._ranks.get(comp.name, 0), self._seq, comp)
@@ -984,7 +925,7 @@ class Engine:
         self.stats.memo_misses += 1
         out = self._intern(thunk())
         memo[key] = out
-        if len(memo) > self.config.eval_memo_size:
+        if len(memo) > _MEMO_SIZE:
             memo.popitem(last=False)
         return out
 
@@ -1343,7 +1284,7 @@ class Engine:
             comp, case_index, self._raw_of, self.prepared_input
         )
         memo[key] = records
-        if len(memo) > self.config.eval_memo_size:
+        if len(memo) > _MEMO_SIZE:
             memo.popitem(last=False)
         return list(records)
 

@@ -57,7 +57,7 @@ class PoolStats:
     workers: int = 0
     #: Times the pool (re)forked its workers — 1 for a warm session.
     pool_starts: int = 0
-    #: Pooled verification runs served (block or partition mode).
+    #: Pooled verification runs served.
     runs: int = 0
     #: Runs served from converged worker state via the incremental path.
     warm_runs: int = 0
@@ -69,10 +69,6 @@ class PoolStats:
     waveform_refs: int = 0
     #: Full per-case snapshots fetched lazily because a listing needed one.
     snapshots_fetched: int = 0
-    #: Circuit partitions of the last single-case partitioned run.
-    partitions: int = 0
-    #: Boundary-waveform exchange rounds until the global fixed point.
-    boundary_rounds: int = 0
 
     def copy(self) -> "PoolStats":
         return PoolStats(**self.__dict__)

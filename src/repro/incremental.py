@@ -168,6 +168,9 @@ class ParamEdit:
     def apply(self, circuit: Circuit, pending: PendingDirty) -> None:
         comp = _require_component(circuit, self.component)
         specs = {p.name: p for p in comp.prim.params}
+        # Check and normalize every key before writing any, so a rejected
+        # edit leaves the component exactly as it was.
+        updates = {}
         for name, value in self.params.items():
             spec = specs.get(name)
             if spec is None:
@@ -179,7 +182,8 @@ class ParamEdit:
                     "width is structural; rebuild the circuit instead of "
                     "editing it"
                 )
-            comp.params[name] = normalize_param(comp.prim, spec, value)
+            updates[name] = normalize_param(comp.prim, spec, value)
+        comp.params.update(updates)
         pending.merge_component(comp)
 
 

@@ -1,5 +1,5 @@
-"""Process-parallel verification: a warm worker pool, case sharding,
-single-case circuit partitioning, and section sharding.
+"""Process-parallel verification: a warm worker pool, case sharding and
+section sharding.
 
 The ROADMAP's scaling story has two halves.  The first is that both axes
 of a large verification run are embarrassingly parallel: every §2.7 case
@@ -19,29 +19,19 @@ the pool is persistent and the traffic is deltas:
   typed :mod:`repro.incremental` edits are shipped over the pipe instead
   of re-pickling the circuit.
 
-* **Digest transfer.**  Waveforms cross each pipe through a symmetric
-  codec (:class:`_WaveEncoder`/:class:`_WaveDecoder`): the first shipment
-  of a value is ``(id, Waveform)``, every repeat is a bare integer — the
-  receiving side appends to its table in lockstep, so no handshake is
-  needed and a converged value that appears in every case costs one
-  pickle total.  Per-case snapshots stay on the worker; the parent's
-  :class:`CaseResult` holds a :class:`LazySnapshot` that fetches the full
-  listing only when something reads it.
+* **Digest transfer.**  Waveforms come back over each pipe through a
+  codec (:class:`_WaveEncoder` on the worker, :class:`_WaveDecoder` in
+  the parent): the first shipment of a value is ``(id, Waveform)``,
+  every repeat is a bare integer — the receiving side appends to its
+  table in lockstep, so no handshake is needed and a converged value
+  that appears in every case costs one pickle total.  Per-case
+  snapshots stay on the worker; the parent's :class:`CaseResult` holds a
+  :class:`LazySnapshot` that fetches the full listing only when
+  something reads it.
 
-* **Single-case partitioning.**  With one case there is no case axis, so
-  :func:`plan_partition` splits the circuit itself along the levelized
-  rank boundaries the engine already computes (rank groups are delimited
-  exactly by the register/latch feedback cuts of ``_compute_ranks`` — the
-  same H-graph structure ``repro.sta`` levelizes).  Each worker runs its
-  partition under an engine *scope* and the parent relays only changed
-  boundary waveforms between rounds until no boundary value moves.  The
-  union of the per-partition converged values then satisfies every
-  component's equation simultaneously, i.e. it *is* a fixed point of the
-  whole circuit — and for a legal synchronous design the fixed point is
-  unique (the same argument behind case blocks and incremental
-  re-verify), so it equals the serial result.  The parent adopts the
-  values, runs the checking pass itself, and the listings come out
-  byte-identical by construction.
+A single-case design has no case axis to shard: it is one fixed point,
+and a Session with one case block runs it serially in-process (no pool,
+no fork), incremental re-verify included.
 
 Merging stays deterministic: blocks are keyed by their start index,
 per-case violations are concatenated in case order, stats are summed via
@@ -74,11 +64,9 @@ from .netlist.circuit import Circuit
 
 __all__ = [
     "LazySnapshot",
-    "PartitionPlan",
     "WorkerCrash",
     "WorkerPool",
     "case_blocks",
-    "plan_partition",
     "verify_parallel",
     "verify_sections_parallel",
 ]
@@ -142,61 +130,39 @@ class _WaveEncoder:
     waveforms — even from different cases — cross the pipe once.
     """
 
-    __slots__ = ("ids", "stats")
+    __slots__ = ("ids",)
 
-    def __init__(self, stats: PoolStats | None = None) -> None:
+    def __init__(self) -> None:
         self.ids: dict[tuple, int] = {}
-        self.stats = stats
 
     def encode(self, wf: Waveform):
         key = wf.canonical_key
         ref = self.ids.get(key)
         if ref is not None:
-            if self.stats is not None:
-                self.stats.waveform_refs += 1
             return ref
         ref = len(self.ids)
         self.ids[key] = ref
-        if self.stats is not None:
-            self.stats.waveforms_shipped += 1
         return (ref, wf)
-
-    def encode_value(self, base: Waveform, lanes: dict[int, Waveform] | None):
-        """Encode a net value: shared base plus sparse per-lane overrides."""
-        if not lanes:
-            return (self.encode(base), None)
-        return (
-            self.encode(base),
-            [(lane, self.encode(wf)) for lane, wf in sorted(lanes.items())],
-        )
 
 
 class _WaveDecoder:
-    """The receiving end of :class:`_WaveEncoder` (same pipe, same order)."""
+    """The receiving end of :class:`_WaveEncoder` (same pipe, same order),
+    counting shipments and references into the pool's stats."""
 
     __slots__ = ("store", "stats")
 
-    def __init__(self, stats: PoolStats | None = None) -> None:
+    def __init__(self, stats: PoolStats) -> None:
         self.store: list[Waveform] = []
         self.stats = stats
 
     def decode(self, enc) -> Waveform:
         if type(enc) is int:
-            if self.stats is not None:
-                self.stats.waveform_refs += 1
+            self.stats.waveform_refs += 1
             return self.store[enc]
         _ref, wf = enc  # unpickling already interned it (_restore_waveform)
         self.store.append(wf)
-        if self.stats is not None:
-            self.stats.waveforms_shipped += 1
+        self.stats.waveforms_shipped += 1
         return wf
-
-    def decode_value(self, enc) -> tuple[Waveform, dict[int, Waveform] | None]:
-        base_enc, lane_enc = enc
-        base = self.decode(base_enc)
-        if not lane_enc:
-            return base, None
-        return base, {lane: self.decode(e) for lane, e in lane_enc}
 
 
 class LazySnapshot(dict):
@@ -306,129 +272,6 @@ class _BlockResult:
     verify_cpu: float
 
 
-@dataclass
-class _PartitionResult:
-    """One partition's contribution to a single-case run (``pfinish``)."""
-
-    values: list  # encoded (name, value) for every owned driven net
-    gating: dict[str, str]
-    stats: EngineStats
-    build_wall: float
-    build_cpu: float
-    verify_wall: float
-    verify_cpu: float
-
-
-@dataclass
-class PartitionPlan:
-    """A single-case split of the circuit along rank-group boundaries.
-
-    ``parts[k]`` is partition *k*'s component-name scope; ``out_nets[k]``
-    the boundary nets it drives that some other partition reads;
-    ``owned_nets[k]`` every driven net it owns (what the parent adopts at
-    the end); ``readers`` maps each boundary net to the partitions that
-    read it.
-    """
-
-    parts: list[list[str]]
-    out_nets: list[list[str]]
-    owned_nets: list[list[str]]
-    readers: dict[str, list[int]]
-
-
-#: A partition below this many components is not worth a boundary
-#: exchange; the planner shrinks the part count (or gives up) instead.
-_MIN_PART_COMPONENTS = 8
-
-
-def plan_partition(circuit: Circuit, engine, parts: int) -> PartitionPlan | None:
-    """Split the circuit into ``parts`` contiguous rank-ordered chunks.
-
-    Components are ordered by levelized rank (circuit order within a
-    rank), chunked into near-equal contiguous parts, and each cut is
-    snapped to the nearest rank-group boundary within a tolerance — rank
-    groups are delimited exactly where ``_compute_ranks`` cut feedback at
-    the sequential primitives, so a snapped cut crosses the register
-    H-graph edges the static pass identified, minimizing combinational
-    boundary traffic.  Returns None when the circuit is too small to be
-    worth a boundary exchange.
-    """
-    comps = [c for c in circuit.iter_components() if not c.prim.is_checker]
-    n = len(comps)
-    parts = min(parts, n // _MIN_PART_COMPONENTS)
-    if parts < 2:
-        return None
-    ranks = engine.component_ranks()
-    ordered = sorted(
-        range(n), key=lambda i: (ranks.get(comps[i].name, 0), i)
-    )
-    ordered = [comps[i] for i in ordered]
-
-    def rank_of(i: int) -> int:
-        return ranks.get(ordered[i].name, 0)
-
-    tol = max(1, n // (4 * parts))
-    cuts: list[int] = []
-    for k in range(1, parts):
-        ideal = k * n // parts
-        best = None
-        for d in range(tol + 1):
-            for pos in (ideal - d, ideal + d):
-                if 0 < pos < n and rank_of(pos) != rank_of(pos - 1):
-                    best = pos
-                    break
-            if best is not None:
-                break
-        cuts.append(best if best is not None else ideal)
-    bounds = [0] + sorted(set(cuts)) + [n]
-    part_names: list[list[str]] = []
-    for a, b in zip(bounds, bounds[1:]):
-        if b <= a:
-            return None
-        part_names.append([c.name for c in ordered[a:b]])
-    if len(part_names) < 2:
-        return None
-
-    owner: dict[str, int] = {}
-    for k, names in enumerate(part_names):
-        for name in names:
-            owner[name] = k
-    # Driver map in circuit order, exactly like Engine.rebuild_topology
-    # (last output pin wins), so ownership matches the engine's.
-    driver_part: dict = {}
-    rep_name: dict = {}
-    for comp in comps:
-        for _pin, conn in comp.output_pins():
-            rep = circuit.find(conn.net)
-            driver_part[rep] = owner[comp.name]
-            rep_name[rep] = rep.name
-    readers: dict[str, set[int]] = {}
-    for comp in comps:
-        k = owner[comp.name]
-        for _pin, conn in comp.input_pins():
-            rep = circuit.find(conn.net)
-            owner_part = driver_part.get(rep)
-            if owner_part is not None and owner_part != k:
-                readers.setdefault(rep_name[rep], set()).add(k)
-    out_nets: list[list[str]] = [[] for _ in part_names]
-    owned_nets: list[list[str]] = [[] for _ in part_names]
-    for rep, k in driver_part.items():
-        name = rep_name[rep]
-        owned_nets[k].append(name)
-        if name in readers:
-            out_nets[k].append(name)
-    for lst in out_nets:
-        lst.sort()
-    for lst in owned_nets:
-        lst.sort()
-    return PartitionPlan(
-        parts=part_names,
-        out_nets=out_nets,
-        owned_nets=owned_nets,
-        readers={name: sorted(ks) for name, ks in readers.items()},
-    )
-
-
 # ----------------------------------------------------------------------
 # the worker process
 # ----------------------------------------------------------------------
@@ -447,28 +290,17 @@ class _Worker:
         self.conn = conn
         self.session = Session(circuit, config, constraints=constraints)
         self.enc = _WaveEncoder()  # worker -> parent
-        self.dec = _WaveDecoder()  # parent -> worker
-        #: The worker engine holds a *full-block* converged state usable
-        #: by incremental_begin; partition runs leave non-owned internals
-        #: stale, so they clear it.
+        #: The worker engine holds a converged block state usable by
+        #: incremental_begin; a block run that raised midway clears it.
         self.converged = False
         self.snapshots: dict[int, dict[str, Waveform]] = {}
         self.sent_names: tuple | None = None
-        # partition-run state
-        self.part_outs: list[str] = []
-        self.part_owned: list[str] = []
-        self.last_sent: dict[str, tuple] = {}
-        self.part_build = (0.0, 0.0)
-        self.part_verify = [0.0, 0.0]
 
     def serve(self) -> None:
         handlers = {
             "edits": self._do_edits,
             "block": self._do_block,
             "fetch": self._do_fetch,
-            "pinit": self._do_pinit,
-            "pround": self._do_pround,
-            "pfinish": self._do_pfinish,
         }
         while True:
             try:
@@ -489,19 +321,6 @@ class _Worker:
                     ("err", f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}")
                 )
 
-    # -- shared ---------------------------------------------------------
-
-    def _reconcile(self):
-        """Fold queued edits into the engine, like Session.reverify does."""
-        session = self.session
-        engine = session.engine
-        if session._dirty.topology:
-            engine.rebuild_topology()
-        engine.forget_connections(session._dirty.stale_connections)
-        dirty = list(session._dirty.components.values())
-        session._dirty.clear()
-        return engine, dirty
-
     # -- commands -------------------------------------------------------
 
     def _do_edits(self, edits):
@@ -510,8 +329,14 @@ class _Worker:
 
     def _do_block(self, start, block_cases):
         t0, c0 = time.perf_counter(), time.process_time()
-        engine, dirty = self._reconcile()
-        engine.set_scope(None)
+        # Fold the shipped edits into the engine, like Session.reverify.
+        session = self.session
+        engine = session.engine
+        if session._dirty.topology:
+            engine.rebuild_topology()
+        engine.forget_connections(session._dirty.stale_connections)
+        dirty = list(session._dirty.components.values())
+        session._dirty.clear()
         warm = self.converged and bool(engine.values)
         if warm:
             # Same path as a serial reverify: unique fixed point, so the
@@ -561,93 +386,6 @@ class _Worker:
             self.sent_names = names
             header = names
         return header, [self.enc.encode(snap[name]) for name in names]
-
-    def _changed_outs(self):
-        """Boundary values that moved since they were last shipped."""
-        engine = self.session.engine
-        circuit = self.session.circuit
-        out = []
-        for name in self.part_outs:
-            rep = circuit.find(circuit.nets[name])
-            base = engine.values.get(rep)
-            if base is None:
-                continue
-            lanes = engine._lanes.get(rep)
-            key = (
-                base.canonical_key,
-                tuple(
-                    sorted(
-                        (lane, wf.canonical_key) for lane, wf in lanes.items()
-                    )
-                )
-                if lanes
-                else None,
-            )
-            if self.last_sent.get(name) == key:
-                continue
-            self.last_sent[name] = key
-            out.append((name, self.enc.encode_value(base, lanes)))
-        return out
-
-    def _do_pinit(self, case, scope, out_nets, owned_nets):
-        t0, c0 = time.perf_counter(), time.process_time()
-        engine, _dirty = self._reconcile()
-        self.converged = False  # partition state is not block-restartable
-        self.part_outs = out_nets
-        self.part_owned = owned_nets
-        self.last_sent = {}
-        engine.set_scope(scope)
-        engine.initialize(case)
-        self.part_build = (
-            time.perf_counter() - t0,
-            time.process_time() - c0,
-        )
-        t0, c0 = time.perf_counter(), time.process_time()
-        engine.run()
-        self.part_verify = [
-            time.perf_counter() - t0,
-            time.process_time() - c0,
-        ]
-        return self._changed_outs()
-
-    def _do_pround(self, updates):
-        engine = self.session.engine
-        t0, c0 = time.perf_counter(), time.process_time()
-        engine.adopt_values(
-            (name, *self.dec.decode_value(enc)) for name, enc in updates
-        )
-        # Each round is a fresh partial fixed point; the oscillation valve
-        # must count per round, not across the whole exchange (the parent
-        # caps the round count instead).
-        engine._eval_counts.clear()
-        engine.run()
-        self.part_verify[0] += time.perf_counter() - t0
-        self.part_verify[1] += time.process_time() - c0
-        return self._changed_outs()
-
-    def _do_pfinish(self):
-        engine = self.session.engine
-        circuit = self.session.circuit
-        values = []
-        for name in self.part_owned:
-            rep = circuit.find(circuit.nets[name])
-            if rep in engine._fixed:
-                continue  # identical everywhere; the parent has its own
-            base = engine.values.get(rep)
-            if base is None:
-                continue
-            values.append(
-                (name, self.enc.encode_value(base, engine._lanes.get(rep)))
-            )
-        return _PartitionResult(
-            values=values,
-            gating=dict(engine._gating),
-            stats=engine.stats,
-            build_wall=self.part_build[0],
-            build_cpu=self.part_build[1],
-            verify_wall=self.part_verify[0],
-            verify_cpu=self.part_verify[1],
-        )
 
 
 def _worker_main(conn, circuit, config, constraints) -> None:
@@ -701,7 +439,6 @@ class WorkerPool:
         self.stats = PoolStats()
         self._procs: list = []
         self._conns: list = []
-        self._encoders: list[_WaveEncoder] = []
         self._decoders: list[_WaveDecoder] = []
         self._names: list[tuple | None] = []
         self._outbox: list = []
@@ -720,7 +457,7 @@ class WorkerPool:
         # circuit, so anything still in the outbox is already applied.
         self._outbox.clear()
         self._procs, self._conns = [], []
-        self._encoders, self._decoders, self._names = [], [], []
+        self._decoders, self._names = [], []
         for k in range(self.jobs):
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
@@ -738,7 +475,6 @@ class WorkerPool:
             child_conn.close()
             self._procs.append(proc)
             self._conns.append(parent_conn)
-            self._encoders.append(_WaveEncoder(self.stats))
             self._decoders.append(_WaveDecoder(self.stats))
             self._names.append(None)
         self.stats.workers = self.jobs
@@ -753,7 +489,7 @@ class WorkerPool:
             self._finalizer()
             self._finalizer = None
         self._procs, self._conns = [], []
-        self._encoders, self._decoders, self._names = [], [], []
+        self._decoders, self._names = [], []
 
     def close(self) -> None:
         """Materialize outstanding lazy snapshots, then reap the workers."""
@@ -847,77 +583,6 @@ class WorkerPool:
         self.stats.snapshots_fetched += 1
         return {name: dec.decode(enc) for name, enc in zip(names, encs)}
 
-    # -- single-case partitioning --------------------------------------
-
-    def run_partition(self, case, plan: PartitionPlan):
-        """Drive the boundary exchange to the global fixed point.
-
-        Returns per-partition ``(values, gating, stats, timings)`` tuples
-        with the values already decoded, ready for
-        :meth:`Engine.adopt_values` on the parent.
-        """
-        self._ensure_ready("edit shipment")
-        nparts = len(plan.parts)
-        for k in range(nparts):
-            self._send(
-                k,
-                (
-                    "pinit",
-                    case,
-                    plan.parts[k],
-                    plan.out_nets[k],
-                    plan.owned_nets[k],
-                ),
-                f"partition {k} init",
-            )
-        changed = [self._recv(k, f"partition {k} init") for k in range(nparts)]
-        self.stats.partitions = nparts
-        rounds = 0
-        # Generous valve against a boundary-level oscillation: a legal
-        # synchronous design converges (unique fixed point); an illegal
-        # one should fail loudly here, not spin.
-        max_rounds = self.session.config.max_evals_per_component
-        while any(changed):
-            rounds += 1
-            if rounds > max_rounds:
-                self.shutdown()
-                raise RuntimeError(
-                    "partition boundary exchange did not converge after "
-                    f"{max_rounds} rounds — is the design legal?"
-                )
-            outbound: list[list] = [[] for _ in range(nparts)]
-            for k, items in enumerate(changed):
-                dec = self._decoders[k]
-                for name, enc in items:
-                    base, lanes = dec.decode_value(enc)
-                    for j in plan.readers.get(name, ()):
-                        if j != k:
-                            outbound[j].append(
-                                (name, self._encoders[j].encode_value(base, lanes))
-                            )
-            active = [j for j in range(nparts) if outbound[j]]
-            if not active:
-                break
-            what = f"boundary round {rounds}"
-            for j in active:
-                self._send(j, ("pround", outbound[j]), what)
-            changed = [[] for _ in range(nparts)]
-            for j in active:
-                changed[j] = self._recv(j, what)
-        self.stats.boundary_rounds += rounds
-        finals = []
-        for k in range(nparts):
-            self._send(k, ("pfinish",), f"partition {k} finish")
-        for k in range(nparts):
-            fin = self._recv(k, f"partition {k} finish")
-            dec = self._decoders[k]
-            fin.values = [
-                (name, *dec.decode_value(enc)) for name, enc in fin.values
-            ]
-            finals.append(fin)
-        self.stats.runs += 1
-        return finals
-
 
 # ----------------------------------------------------------------------
 # one-shot entry points
@@ -933,15 +598,14 @@ def verify_parallel(
     """Verify ``circuit`` with the work sharded over ``jobs`` processes.
 
     A one-shot wrapper over a pooled :class:`repro.session.Session`: with
-    several cases the case axis is sharded into contiguous blocks; with a
-    single case the circuit itself is partitioned along rank boundaries
-    (falling back to serial when it is too small to split).  Violations,
-    waveforms and listings are byte-identical to
-    ``TimingVerifier(circuit, config).verify()``; ``result.phases`` holds
-    max-reduced wall times, ``result.phases_cpu`` summed worker CPU times
-    and ``result.pool`` the pool counters.  The result's lazy snapshots
-    keep the pool alive until they are read or dropped.  Raises
-    :class:`WorkerCrash` when a worker dies mid-run.
+    several cases the case axis is sharded into contiguous blocks; a
+    single-case design runs serially in-process (no pool, no fork; its
+    result has ``pool`` None).  Violations, waveforms and listings are
+    byte-identical to ``TimingVerifier(circuit, config).verify()``;
+    ``result.phases`` holds max-reduced wall times, ``result.phases_cpu``
+    summed worker CPU times and ``result.pool`` the pool counters.  The
+    result's lazy snapshots keep the pool alive until they are read or
+    dropped.  Raises :class:`WorkerCrash` when a worker dies mid-run.
     """
     from .session import Session
 

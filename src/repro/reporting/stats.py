@@ -169,8 +169,6 @@ def profile_json(
             "waveforms_shipped": pl.waveforms_shipped,
             "waveform_refs": pl.waveform_refs,
             "snapshots_fetched": pl.snapshots_fetched,
-            "partitions": pl.partitions,
-            "boundary_rounds": pl.boundary_rounds,
         }
     return out
 
@@ -286,11 +284,6 @@ def profile_report(
             f"waveform(s) shipped (rest sent by reference), "
             f"{pl.snapshots_fetched} snapshot(s) fetched",
         ]
-        if pl.partitions:
-            lines.append(
-                f"  partitioned: {pl.partitions} partition(s), "
-                f"{pl.boundary_rounds} boundary exchange round(s)"
-            )
     return "\n".join(lines)
 
 

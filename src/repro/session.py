@@ -71,8 +71,8 @@ class IncrementalResult:
     """One re-verification: the authoritative result plus reuse metadata."""
 
     result: VerificationResult
-    #: False when the session fell back to a full run (first verification,
-    #: or a re-verify requested with no prior converged state).
+    #: False when the session fell back to a full run (a re-verify
+    #: requested before any verification).
     incremental: bool
     prescreen: Prescreen | None = None
 
@@ -117,18 +117,19 @@ class Session:
         self.intern_table = InternTable()
         self._engine: Engine | None = None
         self._dirty = PendingDirty()
-        self._converged = False
         self._warnings: list | None = None
         #: Total verification runs (full + incremental) this session served.
         self.runs = 0
-        #: Requested parallelism.  With ``jobs > 1`` the session owns a
-        #: persistent :class:`repro.parallel.WorkerPool`: workers are
-        #: forked lazily on the first pooled run and reused across
-        #: verify/reverify calls, with edits and waveform digests (not
-        #: circuits and snapshots) crossing the pipes.
+        #: Requested parallelism.  With more than one case block to shard
+        #: (``jobs > 1`` and several cases) the session owns a persistent
+        #: :class:`repro.parallel.WorkerPool`: workers are forked lazily
+        #: on the first pooled run and reused across verify/reverify
+        #: calls, with edits and waveform digests (not circuits and
+        #: snapshots) crossing the pipes.  A single-case design is one
+        #: fixed point and always runs serially here.
         self.jobs = max(1, int(jobs or 1))
         self._pool = None
-        if self.jobs > 1:
+        if self.jobs > 1 and len(circuit.cases) > 1:
             from .parallel import WorkerPool
 
             self._pool = WorkerPool(self, self.jobs)
@@ -203,18 +204,24 @@ class Session:
         :meth:`reverify` or :meth:`verify`.  Returns the session for
         chaining.
         """
-        for e in edits:
-            if isinstance(e, ConstraintsEdit):
-                self.constraints = e.load(self.circuit)
-                if self._engine is not None:
-                    self._engine.set_constraints(self.constraints)
-            else:
-                e.apply(self.circuit, self._dirty)
-        if self._pool is not None:
-            # Workers reconcile lazily too: the typed edits travel over
-            # the pipes at the next pooled run (a ConstraintsEdit
-            # re-resolves against the worker's own circuit copy).
-            self._pool.queue_edits(edits)
+        applied = 0
+        try:
+            for e in edits:
+                if isinstance(e, ConstraintsEdit):
+                    self.constraints = e.load(self.circuit)
+                    if self._engine is not None:
+                        self._engine.set_constraints(self.constraints)
+                else:
+                    e.apply(self.circuit, self._dirty)
+                applied += 1
+        finally:
+            if self._pool is not None and applied:
+                # Workers reconcile lazily too: the typed edits travel over
+                # the pipes at the next pooled run (a ConstraintsEdit
+                # re-resolves against the worker's own circuit copy).  The
+                # applied prefix goes even when a later edit raised, so
+                # the workers' circuits stay the parent's.
+                self._pool.queue_edits(edits[:applied])
         return self
 
     def close(self) -> None:
@@ -234,12 +241,11 @@ class Session:
     def verify(self) -> VerificationResult:
         """A full verification: serial, or over the warm worker pool.
 
-        With ``jobs > 1`` the work is sharded over the session's
-        persistent pool — by case block when there are several cases, by
-        circuit partition when there is one — and the merged result is
-        byte-identical to the serial run (unique fixed point; see
-        ``repro.parallel``).  Small single-case circuits fall back to the
-        serial path.
+        With ``jobs > 1`` and several cases the case axis is sharded into
+        contiguous blocks over the session's persistent pool, and the
+        merged result is byte-identical to the serial run (unique fixed
+        point; see ``repro.parallel``).  A single-case design runs
+        serially in-process whatever ``jobs`` says.
         """
         if self._pool is not None:
             return self._verify_pooled()
@@ -286,7 +292,6 @@ class Session:
         phases.verify = time.perf_counter() - t0
 
         result = self._package(report, case_results, xref, warnings, phases)
-        self._converged = True
         self.runs += 1
         return result
 
@@ -298,39 +303,24 @@ class Session:
         propagation walks the rest.  With ``prescreen=True`` the static
         windows pass runs first and its verdict is attached to the result
         (the engine remains the authority either way).  Falls back to a
-        full :meth:`verify` when the session has no converged state yet.
+        full :meth:`verify` when the session has not verified yet.
         """
-        if self.runs == 0 or (self._pool is None and not self._converged):
+        if self.runs == 0:
             return IncrementalResult(result=self.verify(), incremental=False)
 
         pre = self._run_prescreen() if prescreen else None
 
-        if self._pool is not None and self._pool_viable():
+        if self._pool is not None:
             # Warm pooled re-verify: the shipped edits reconcile on each
             # worker's engine through the same incremental path serial
             # uses, so the reused pool is the incremental run.
             return IncrementalResult(
                 result=self._verify_pooled(), incremental=True, prescreen=pre
             )
-        if not self._converged:
-            # Pool present but the design is too small to shard, and the
-            # parent engine never converged: a full serial run.
-            return IncrementalResult(
-                result=self._verify_serial(), incremental=False, prescreen=pre
-            )
 
         phases = PhaseTimes()
         t0 = time.perf_counter()
-        # Structural validation inspects only pins/connections and
-        # assertions; delay and parameter edits cannot change its verdict,
-        # so the cached warnings stand unless an edit said otherwise.
-        if (
-            self._warnings is None
-            or self._dirty.topology
-            or self._dirty.structure
-        ):
-            self._warnings = check_structure(self.circuit)
-        warnings = self._warnings
+        warnings = self._structure_warnings()
         engine = self.engine
         if self._dirty.topology:
             engine.rebuild_topology()
@@ -366,6 +356,21 @@ class Session:
         result = self._package(report, case_results, xref, warnings, phases)
         self.runs += 1
         return IncrementalResult(result=result, incremental=True, prescreen=pre)
+
+    def _structure_warnings(self) -> list:
+        """Cached structural validation for re-verifies.
+
+        It inspects only pins/connections and assertions; delay and
+        parameter edits cannot change its verdict, so the cached warnings
+        stand unless an edit said otherwise.
+        """
+        if (
+            self._warnings is None
+            or self._dirty.topology
+            or self._dirty.structure
+        ):
+            self._warnings = check_structure(self.circuit)
+        return self._warnings
 
     def _run_prescreen(self) -> Prescreen:
         """The static windows pass as an instant advisory verdict."""
@@ -432,56 +437,18 @@ class Session:
     # pooled verification (repro.parallel)
     # ------------------------------------------------------------------
 
-    def _structure_warnings(self) -> list:
-        """Cached structural validation (same policy as serial reverify)."""
-        if (
-            self._warnings is None
-            or self._dirty.topology
-            or self._dirty.structure
-        ):
-            self._warnings = check_structure(self.circuit)
-        return self._warnings
-
-    def _pool_viable(self) -> bool:
-        """Can the pool shard this run (several cases, or a splittable
-        circuit)?  When not, the serial paths are the honest answer."""
-        from .parallel import case_blocks, plan_partition
-
-        cases = self.circuit.cases or [{}]
-        if len(case_blocks(len(cases), self.jobs)) > 1:
-            return True
-        engine = self.engine
-        if self._dirty.topology:
-            engine.rebuild_topology()
-        return plan_partition(self.circuit, engine, self.jobs) is not None
-
     def _verify_pooled(self) -> VerificationResult:
-        from .parallel import case_blocks, plan_partition
-
-        cases = self.circuit.cases or [{}]
-        blocks = case_blocks(len(cases), self.jobs)
-        if len(blocks) > 1:
-            return self._pooled_blocks(cases, blocks)
-        # One case: shard the circuit itself along rank boundaries.  The
-        # planner needs current topology; leave the dirty flag for the
-        # serial fallback (rebuilding twice is sound and cheap).
-        engine = self.engine
-        if self._dirty.topology:
-            engine.rebuild_topology()
-        plan = plan_partition(self.circuit, engine, self.jobs)
-        if plan is None:
-            return self._verify_serial()
-        return self._pooled_partition(cases[0], plan)
-
-    def _pooled_blocks(self, cases, blocks) -> VerificationResult:
         """Contiguous case blocks, one per warm worker (§2.7 case axis)."""
         from .core.engine import EngineStats
-        from .parallel import LazySnapshot
+        from .parallel import LazySnapshot, case_blocks
 
         pool = self._pool
+        cases = self.circuit.cases
+        blocks = case_blocks(len(cases), self.jobs)
         phases, cpu = PhaseTimes(), PhaseTimes()
         t0, c0 = time.perf_counter(), time.process_time()
         warnings = self._structure_warnings()
+        self._dirty.clear()  # the workers reconcile their own copies
         parent_build_wall = time.perf_counter() - t0
         parent_build_cpu = time.process_time() - c0
 
@@ -525,80 +492,6 @@ class Session:
             phases_cpu=cpu,
             pool=pool,
         )
-        self.runs += 1
-        return result
-
-    def _pooled_partition(self, case, plan) -> VerificationResult:
-        """One case sharded across the circuit's rank-group partitions.
-
-        Workers converge their partitions exchanging boundary waveforms;
-        the parent then *adopts* the union of the converged values — a
-        fixed point of the whole circuit, hence (uniqueness) the serial
-        fixed point — and runs the checking pass itself, so violations
-        and listings are byte-identical to serial by construction.  The
-        parent engine ends up converged, exactly as after a serial run.
-        """
-        from .core.engine import EngineStats
-
-        pool = self._pool
-        phases, cpu = PhaseTimes(), PhaseTimes()
-        t0, c0 = time.perf_counter(), time.process_time()
-        warnings = self._structure_warnings()
-        engine = self.engine
-        self._dirty.clear()  # workers reconcile their own copies
-        engine.set_scope(None)
-        engine.initialize(case)
-        parent_build_wall = time.perf_counter() - t0
-        parent_build_cpu = time.process_time() - c0
-
-        t0 = time.perf_counter()
-        xref = list(engine.xref_assumed_stable)
-        phases.cross_reference = time.perf_counter() - t0
-
-        finals = pool.run_partition(case, plan)
-
-        t0, c0 = time.perf_counter(), time.process_time()
-        for fin in finals:
-            engine.adopt_values(fin.values)
-            engine._gating.update(fin.gating)
-        # The adopted union is the fixed point: re-evaluating any queued
-        # component would store the value it already has, so the worklist
-        # seeded by initialize/adoption is vacuous — drop it.
-        engine._queue.clear()
-        engine._heap.clear()
-        engine._queued.clear()
-        report = CheckReport()
-        report.extend(engine.check(case_index=0))
-        stats = EngineStats.merged(f.stats for f in finals)
-        stats.events_by_case = [stats.events]
-        engine.stats = stats
-        case_results = [
-            CaseResult(
-                index=0,
-                assignments=dict(case),
-                waveforms=engine.snapshot(),
-                events=stats.events,
-            )
-        ]
-        adopt_wall = time.perf_counter() - t0
-        adopt_cpu = time.process_time() - c0
-
-        phases.build = parent_build_wall + max(f.build_wall for f in finals)
-        cpu.build = parent_build_cpu + sum(f.build_cpu for f in finals)
-        phases.verify = max(f.verify_wall for f in finals) + adopt_wall
-        cpu.verify = sum(f.verify_cpu for f in finals) + adopt_cpu
-
-        result = self._package(
-            report,
-            case_results,
-            xref,
-            warnings,
-            phases,
-            stats=stats,
-            phases_cpu=cpu,
-            pool=pool,
-        )
-        self._converged = True
         self.runs += 1
         return result
 

@@ -70,14 +70,25 @@ class TestEditTypes:
         assert not inc.ok
 
     def test_param_edit_rejects_unknown(self):
+        # A valid key ahead of the bad one must not be written either: a
+        # half-applied edit would change the delay without dirtying the
+        # component, and the next reverify would miss it.
         session = _session(SHIFTER)
+        before = dict(session.circuit.components["s1/rot"].params)
         with pytest.raises(NetlistError):
-            session.edit(ParamEdit("s1/rot", {"bogus": 1.0}))
+            session.edit(
+                ParamEdit("s1/rot", {"delay": (2.0, 5.0), "bogus": 1.0})
+            )
+        assert session.circuit.components["s1/rot"].params == before
+        assert_incremental_equivalent(session)
 
     def test_param_edit_rejects_width(self):
         session = _session(SHIFTER)
+        before = dict(session.circuit.components["s1/rot"].params)
         with pytest.raises(NetlistError):
-            session.edit(ParamEdit("s1/rot", {"width": 8}))
+            session.edit(ParamEdit("s1/rot", {"delay": (2.0, 5.0), "width": 8}))
+        assert session.circuit.components["s1/rot"].params == before
+        assert_incremental_equivalent(session)
 
     def test_reconnect_edit(self):
         session = _session(SHIFTER)

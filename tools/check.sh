@@ -178,9 +178,9 @@ echo
 echo "== serial-vs-parallel equivalence gate (warm pool, byte identity) =="
 # A pooled Session forks its workers once; two verifies plus an
 # edit -> reverify must reuse the same warm pool and stay byte-identical
-# to a serial Session driven through the same script.  Single-case
-# designs exercise the partitioned path; the SDC case proves the
-# constraints actually ride along to the workers.
+# to a serial Session driven through the same script.  A single-case
+# design has no case blocks, so it must run the serial engine; the SDC
+# case proves the constraints actually ride along to the workers.
 python - <<'EOF'
 from repro import Session
 from repro.constraints import load_constraints
@@ -228,17 +228,16 @@ for chips, seed in ((60, 1), (200, 7)):
           f"(2 verifies + edit->reverify on {stats.workers} workers, "
           f"{stats.pool_starts} fork)")
 
-# Single case: the circuit is partitioned along its register cuts and
-# the workers exchange boundary waveforms to the global fixed point.
+# Single case: one fixed point, no case axis to shard, so jobs > 1 runs
+# the serial engine in-process.
 single, _ = generate(SynthConfig(chips=200, seed=7)).circuit()
 par = verify_parallel(single, jobs=4)
 single2, _ = generate(SynthConfig(chips=200, seed=7)).circuit()
 serial = TimingVerifier(single2).verify()
-same_listings(serial, par, "partitioned")
-assert par.pool is not None and par.pool.partitions >= 2, par.pool
-print(f"ok: synth chips=200 seed=7 single case partitioned == serial "
-      f"({par.pool.partitions} partitions, "
-      f"{par.pool.boundary_rounds} boundary rounds)")
+same_listings(serial, par, "single case")
+assert par.pool is None, par.pool
+print("ok: synth chips=200 seed=7 single case at jobs=4 == serial "
+      "(serial engine, no pool)")
 
 # SDC constraints must reach the workers: the constrained parallel run
 # matches the constrained serial run, and differs from unconstrained.
