@@ -5,13 +5,60 @@ final signal values and report violations; they never drive outputs.
 
 All functions here operate on prepared waveforms (interconnection delay
 applied, complements taken) and absolute picosecond parameters.
+
+The setup, hold and minimum-pulse-width checkers also measure a signed
+*margin* when handed a ``margins`` dict: by how much the check passed, or
+(negative, uncapped) by how much it failed, filed under
+``(component, kind, signal, case_index)`` — the fields that name the
+check's violations.  A margin is negative exactly when the check reports
+a violation.  The measurement reuses the scan that finds the violations:
+
+* setup — the window's opening minus the end of the last instability
+  before it;
+* hold — the start of the first instability after the window's close,
+  minus that close;
+* pulse width — the narrowest high (or low) run minus its minimum.
+
+A clock with several edges files the smallest margin over its windows.
+Data that never changes, and a signal with no pulse, have nothing to
+measure and file no margin.
 """
 
 from __future__ import annotations
 
 from .values import ONE, STABLE_VALUES, UNKNOWN, ZERO, Value
-from .violations import Violation, ViolationKind
+from .violations import MarginKey, Violation, ViolationKind
 from .waveform import Waveform
+
+
+def note_margin(margins: dict[MarginKey, int], key: MarginKey, value: int) -> None:
+    """File ``value`` under ``key`` unless a smaller margin is already there."""
+    old = margins.get(key)
+    if old is None or value < old:
+        margins[key] = value
+
+
+def _window_margin(
+    kind: ViolationKind,
+    bad: list[tuple[int, int, Value]],
+    lo: int,
+    hi: int,
+    before: int | None,
+    after: int | None,
+) -> int | None:
+    """Signed margin of one setup or hold window from its instability scan.
+
+    ``bad`` is the instability inside ``[lo, hi]`` charged to this side;
+    ``before``/``after`` are the scan's clear distances.  None for other
+    window kinds and for data that never changes.
+    """
+    if before is None:
+        return None
+    if kind is ViolationKind.SETUP:
+        return lo - max(h for _l, h, _v in bad) if bad else before
+    if kind is ViolationKind.HOLD:
+        return min(l for l, _h, _v in bad) - hi if bad else after
+    return None
 
 
 def check_setup_hold(
@@ -23,6 +70,7 @@ def check_setup_hold(
     setup_ps: int,
     hold_ps: int,
     case_index: int = 0,
+    margins: dict[MarginKey, int] | None = None,
 ) -> list[Violation]:
     """The SETUP HOLD CHK primitive (Figure 2-3, upper).
 
@@ -61,6 +109,7 @@ def check_setup_hold(
                 setup_ps=setup_ps,
                 hold_ps=hold_ps,
                 case_index=case_index,
+                margins=margins,
             )
         )
     return out
@@ -75,6 +124,7 @@ def check_setup_rise_hold_fall(
     setup_ps: int,
     hold_ps: int,
     case_index: int = 0,
+    margins: dict[MarginKey, int] | None = None,
 ) -> list[Violation]:
     """The SETUP RISE HOLD FALL CHK primitive (Figure 2-3, lower).
 
@@ -122,15 +172,14 @@ def check_setup_rise_hold_fall(
             lo, hi = window
             if hi <= lo:
                 continue
-            bad = datam.instability_in(lo, hi)
+            bad, before, after = datam.instability_scan(lo, hi)
+            margin = _window_margin(kind, bad, lo, hi, before, after)
+            if margins is not None and margin is not None:
+                note_margin(
+                    margins, (component, kind, signal_name, case_index), margin
+                )
             if not bad:
                 continue
-            if kind is ViolationKind.SETUP:
-                missed = max(h for _l, h, _v in bad) - lo
-            elif kind is ViolationKind.HOLD:
-                missed = hi - min(l for l, _h, _v in bad)
-            else:
-                missed = None
             out.append(
                 Violation(
                     kind=kind,
@@ -138,7 +187,7 @@ def check_setup_rise_hold_fall(
                     signal=signal_name,
                     clock=clock_name,
                     required_ps=required,
-                    missed_by_ps=missed,
+                    missed_by_ps=None if margin is None else -margin,
                     window=window,
                     case_index=case_index,
                     signal_waveform=datam,
@@ -158,6 +207,7 @@ def _check_edge_window(
     setup_ps: int,
     hold_ps: int,
     case_index: int,
+    margins: dict[MarginKey, int] | None = None,
 ) -> list[Violation]:
     """Check one clock-edge window ``edge = (r0, r1)``.
 
@@ -172,12 +222,22 @@ def _check_edge_window(
     w_lo, w_hi = r0 - setup_ps, r1 + hold_ps
     if w_hi <= w_lo:
         return []
-    bad = datam.instability_in(w_lo, w_hi)
+    bad, before, after = datam.instability_scan(w_lo, w_hi)
+    setup_side = [iv for iv in bad if iv[0] < r1 or iv[0] == iv[1] == r1]
+    hold_side = [iv for iv in bad if iv[1] > r0 or iv[0] == iv[1] == r0]
+    if margins is not None:
+        for kind, side, checked in (
+            (ViolationKind.SETUP, setup_side, setup_ps > 0),
+            (ViolationKind.HOLD, hold_side, w_hi > r0),
+        ):
+            margin = _window_margin(kind, side, w_lo, w_hi, before, after)
+            if checked and margin is not None:
+                note_margin(
+                    margins, (component, kind, signal_name, case_index), margin
+                )
     if not bad:
         return []
     out: list[Violation] = []
-    setup_side = [iv for iv in bad if iv[0] < r1 or iv[0] == iv[1] == r1]
-    hold_side = [iv for iv in bad if iv[1] > r0 or iv[0] == iv[1] == r0]
     if setup_side and setup_ps > 0:
         # "The data didn't go stable until 47.5 ns into the cycle and the
         # clock starts rising at 49.0, thereby missing the specified setup
@@ -231,6 +291,7 @@ def check_setup_hold_windows(
     hold_req_ps: int,
     case_index: int = 0,
     clock_shift_ps: int = 0,
+    margins: dict[MarginKey, int] | None = None,
 ) -> list[Violation]:
     """Setup/hold check with *independent* effective guard windows.
 
@@ -276,14 +337,15 @@ def check_setup_hold_windows(
                 continue
             if hi <= lo:
                 continue
-            bad = datam.instability_in(lo, hi)
+            bad, before, after = datam.instability_scan(lo, hi)
+            margin = _window_margin(kind, bad, lo, hi, before, after)
+            if margins is not None and margin is not None:
+                note_margin(
+                    margins, (component, kind, signal_name, case_index), margin
+                )
             if not bad:
                 continue
-            if kind is ViolationKind.SETUP:
-                missed = max(h for _l, h, _v in bad) - lo
-            else:
-                missed = hi - min(l for l, _h, _v in bad)
-            missed = min(missed, hi - lo)
+            missed = min(-margin, hi - lo)
             out.append(
                 Violation(
                     kind=kind,
@@ -439,6 +501,7 @@ def check_min_pulse_width(
     min_low_ps: int | None,
     case_index: int = 0,
     glitch_warnings: bool = True,
+    margins: dict[MarginKey, int] | None = None,
 ) -> list[Violation]:
     """The MIN PULSE WIDTH checker (Figure 2-4).
 
@@ -465,6 +528,12 @@ def check_min_pulse_width(
             width = end - start
             if width >= signal.period:
                 continue  # constant level: not a pulse
+            if margins is not None:
+                note_margin(
+                    margins,
+                    (component, kind, signal_name, case_index),
+                    width - minimum,
+                )
             if width < minimum:
                 out.append(
                     Violation(

@@ -31,6 +31,7 @@ from .checks import (
     check_setup_hold_windows,
     check_setup_rise_hold_fall,
     check_stable_assertion,
+    note_margin,
 )
 from .config import VerifyConfig
 from .models import (
@@ -42,7 +43,7 @@ from .models import (
     eval_register,
 )
 from .values import CHANGE, ONE, STABLE, UNKNOWN, ZERO, Value, value_not
-from .violations import CheckReport, Violation
+from .violations import CheckReport, MarginKey, Violation
 from .waveform import InternTable, Waveform
 from .wordwave import WordWave
 
@@ -287,7 +288,9 @@ class Engine:
         #: are a pure function of its raw inputs, connection fields, wire
         #: delays, parameters and constraints, so an incremental re-verify
         #: skips the (dominant) re-checking of untouched checkers entirely.
-        self._check_memo: OrderedDict[tuple, list[Violation]] = OrderedDict()
+        self._check_memo: OrderedDict[
+            tuple, tuple[list[Violation], dict[MarginKey, int]]
+        ] = OrderedDict()
         # Levelized schedule: topological rank per component over the
         # combinational graph, computed once per engine (and again only
         # after a topology edit, via rebuild_topology).
@@ -1156,19 +1159,24 @@ class Engine:
     # checking phase (section 2.9, third step)
     # ------------------------------------------------------------------
 
-    def check(self, case_index: int = 0) -> list[Violation]:
-        """Evaluate every checker against the converged signal values."""
-        violations: list[Violation] = []
+    def check(self, case_index: int = 0) -> CheckReport:
+        """Evaluate every checker against the converged signal values.
+
+        The report carries the case's violations and the margin of each
+        setup, hold and minimum-pulse-width check.
+        """
+        report = CheckReport()
+        violations, margins = report.violations, report.margins
         for comp in self.circuit.iter_components():
             if not comp.prim.is_checker:
                 continue
-            violations.extend(self._check_one(comp, case_index))
+            violations.extend(self._check_one(comp, case_index, margins))
         violations.extend(self._check_gating(case_index))
         if self.config.check_assertions:
             violations.extend(self._check_assertions(case_index))
         if self.constraints is not None:
-            violations.extend(self._check_constraints(case_index))
-        return violations
+            violations.extend(self._check_constraints(case_index, margins))
+        return report
 
     def _suffix_name(self, name: str, lane: int) -> str:
         """Lane-qualify a signal name when its net is a vector.
@@ -1195,21 +1203,38 @@ class Engine:
             fields["clock"] = self._suffix_name(v.clock, lane)
         return _dc_replace(v, **fields)
 
+    def _relabel_margin(
+        self, comp: Component, key: MarginKey, lane: int
+    ) -> MarginKey:
+        """The lane's name for a margin, exactly as :meth:`_relabel` names
+        the same check's violations."""
+        component, kind, signal, case_index = key
+        if comp.width > 1:
+            component = f"{comp.name} [{lane}]"
+        return (component, kind, self._suffix_name(signal, lane), case_index)
+
     def _lane_variants(
-        self, comp: Component, case_index: int, impl
+        self,
+        comp: Component,
+        case_index: int,
+        impl,
+        margins: dict[MarginKey, int],
     ) -> list[Violation]:
         """Run a checker body once per divergence group, relabelled per lane.
 
-        ``impl(comp, case_index, raw_of, prepared_of)`` must produce records
-        with unsuffixed names; lanes whose inputs agree reuse one run.  When
-        every lane lands in the same group the word has not really diverged
-        at this checker, and the single run's records come back unsuffixed —
-        byte-identical to the scalar path (the per-bit comparison expands an
-        unsuffixed record over the full width, so blast parity holds).
+        ``impl(comp, case_index, raw_of, prepared_of, margins)`` must
+        produce records and margins with unsuffixed names; lanes whose
+        inputs agree reuse one run.  When every lane lands in the same group
+        the word has not really diverged at this checker, and the single
+        run's records come back unsuffixed — byte-identical to the scalar
+        path (the per-bit comparison expands an unsuffixed record over the
+        full width, so blast parity holds).
         """
         in_conns = self._input_conns(comp)
-        cache: dict[tuple[Waveform, ...], tuple[int, list[Violation]]] = {}
-        lanes: list[tuple[int, list[Violation]]] = []
+        cache: dict[
+            tuple[Waveform, ...], tuple[list[Violation], dict[MarginKey, int]]
+        ] = {}
+        lanes: list[tuple[int, tuple[list[Violation], dict[MarginKey, int]]]] = []
         for lane in range(comp.width):
             key = tuple(self._lane_raw(conn, lane) for conn in in_conns)
             entry = cache.get(key)
@@ -1225,16 +1250,21 @@ class Engine:
                 ) -> Waveform:
                     return self._lane_prepared(conn, _lane, zero_wire)
 
+                found: dict[MarginKey, int] = {}
                 entry = cache[key] = (
-                    lane,
-                    impl(comp, case_index, raw_of, prepared_of),
+                    impl(comp, case_index, raw_of, prepared_of, found),
+                    found,
                 )
-            lanes.append((lane, entry[1]))
+            lanes.append((lane, entry))
         if len(cache) == 1:
-            return list(lanes[0][1])
+            records, found = lanes[0][1]
+            margins.update(found)
+            return list(records)
         out: list[Violation] = []
-        for lane, records in lanes:
+        for lane, (records, found) in lanes:
             out.extend(self._relabel(comp, v, lane) for v in records)
+            for key, margin in found.items():
+                margins[self._relabel_margin(comp, key, lane)] = margin
         return out
 
     def _checker_key(self, comp: Component, case_index: int) -> tuple:
@@ -1267,29 +1297,38 @@ class Engine:
             inputs,
         )
 
-    def _check_one(self, comp: Component, case_index: int) -> list[Violation]:
+    def _check_one(
+        self, comp: Component, case_index: int, margins: dict[MarginKey, int]
+    ) -> list[Violation]:
         if self._word_needed and self._comp_diverged(comp):
-            return self._lane_variants(comp, case_index, self._check_one_impl)
+            return self._lane_variants(
+                comp, case_index, self._check_one_impl, margins
+            )
         if not self.config.memoize_evaluation:
             return self._check_one_impl(
-                comp, case_index, self._raw_of, self.prepared_input
+                comp, case_index, self._raw_of, self.prepared_input, margins
             )
         key = self._checker_key(comp, case_index)
         memo = self._check_memo
         cached = memo.get(key)
-        if cached is not None:
+        if cached is None:
+            found: dict[MarginKey, int] = {}
+            cached = memo[key] = (
+                self._check_one_impl(
+                    comp, case_index, self._raw_of, self.prepared_input, found
+                ),
+                found,
+            )
+            if len(memo) > _MEMO_SIZE:
+                memo.popitem(last=False)
+        else:
             memo.move_to_end(key)
-            return list(cached)
-        records = self._check_one_impl(
-            comp, case_index, self._raw_of, self.prepared_input
-        )
-        memo[key] = records
-        if len(memo) > _MEMO_SIZE:
-            memo.popitem(last=False)
+        records, found = cached
+        margins.update(found)
         return list(records)
 
     def _check_one_impl(
-        self, comp: Component, case_index: int, raw_of, prepared_of
+        self, comp: Component, case_index: int, raw_of, prepared_of, margins
     ) -> list[Violation]:
         prim = comp.prim.name
         if prim == "MIN_PULSE_WIDTH":
@@ -1302,6 +1341,7 @@ class Engine:
                 comp.params.get("min_low"),
                 case_index=case_index,
                 glitch_warnings=self.config.glitch_warnings,
+                margins=margins,
             )
         i_conn, ck_conn = comp.pins["I"], comp.pins["CK"]
         data = prepared_of(i_conn)
@@ -1331,6 +1371,7 @@ class Engine:
                     hold_req_ps=comp.params["hold"],
                     case_index=case_index,
                     clock_shift_ps=mods.clock_shift_ps,
+                    margins=margins,
                 )
             # Rise/fall checker: the three windows anchor on different
             # edges, so the effective extents are clamped at zero (a waived
@@ -1346,6 +1387,7 @@ class Engine:
                 max(0, s_eff),
                 max(0, h_eff),
                 case_index=case_index,
+                margins=margins,
             )
         checker = (
             check_setup_hold
@@ -1361,9 +1403,12 @@ class Engine:
             comp.params["setup"],
             comp.params["hold"],
             case_index=case_index,
+            margins=margins,
         )
 
-    def _check_constraints(self, case_index: int) -> list[Violation]:
+    def _check_constraints(
+        self, case_index: int, margins: dict[MarginKey, int]
+    ) -> list[Violation]:
         """Checks that exist only when an SDC constraint demands them.
 
         Each has a static twin in ``sta/slack.py`` producing the same-keyed
@@ -1385,36 +1430,33 @@ class Engine:
             if not has_rs and not has_borrow:
                 continue
             diverged = self._word_needed and self._comp_diverged(comp)
-            if has_rs:
+            for wanted, impl in (
+                (has_rs, self._check_rs_impl),
+                (has_borrow, self._check_borrow_impl),
+            ):
+                if not wanted:
+                    continue
                 if diverged:
-                    out.extend(
-                        self._lane_variants(comp, case_index, self._check_rs_impl)
-                    )
+                    out.extend(self._lane_variants(comp, case_index, impl, margins))
                 else:
                     out.extend(
-                        self._check_rs_impl(
-                            comp, case_index, self._raw_of, self.prepared_input
-                        )
-                    )
-            if has_borrow:
-                if diverged:
-                    out.extend(
-                        self._lane_variants(
-                            comp, case_index, self._check_borrow_impl
-                        )
-                    )
-                else:
-                    out.extend(
-                        self._check_borrow_impl(
-                            comp, case_index, self._raw_of, self.prepared_input
+                        impl(
+                            comp,
+                            case_index,
+                            self._raw_of,
+                            self.prepared_input,
+                            margins,
                         )
                     )
         for spec in cs.output_delays:
-            out.extend(self._check_output_delay(spec, case_index))
+            out.extend(self._check_output_delay(spec, case_index, margins))
         return out
 
+    # Recovery, removal and borrow checks file no margins; their bodies
+    # take ``margins`` only to share _lane_variants' signature.
+
     def _check_rs_impl(
-        self, comp: Component, case_index: int, raw_of, prepared_of
+        self, comp: Component, case_index: int, raw_of, prepared_of, margins
     ) -> list[Violation]:
         spec = self.constraints.rs_for(comp.name)
         prim = comp.prim.name
@@ -1441,7 +1483,7 @@ class Engine:
         return out
 
     def _check_borrow_impl(
-        self, comp: Component, case_index: int, raw_of, prepared_of
+        self, comp: Component, case_index: int, raw_of, prepared_of, margins
     ) -> list[Violation]:
         borrow = self.constraints.borrow_for(comp.name)
         enable_conn = comp.pins["ENABLE"]
@@ -1456,7 +1498,9 @@ class Engine:
             case_index=case_index,
         )
 
-    def _check_output_delay(self, spec, case_index: int) -> list[Violation]:
+    def _check_output_delay(
+        self, spec, case_index: int, margins: dict[MarginKey, int]
+    ) -> list[Violation]:
         """set_output_delay as a setup/hold check on the port's raw value.
 
         Resolves per-bit clones (``"NET [i]"``) when the exact name is
@@ -1485,6 +1529,7 @@ class Engine:
                             spec.setup_ps,
                             spec.hold_ps,
                             case_index=case_index,
+                            margins=margins,
                         )
                     )
                 i += 1
@@ -1494,13 +1539,17 @@ class Engine:
         rep = self.circuit.find(net)
         crep = self.circuit.find(clock_net)
         if self._lanes.get(rep) or self._lanes.get(crep):
-            cache: dict[tuple[Waveform, Waveform], list[Violation]] = {}
+            cache: dict[
+                tuple[Waveform, Waveform],
+                tuple[list[Violation], dict[MarginKey, int]],
+            ] = {}
             for lane in range(rep.width):
                 data = self._net_lane_value(net, lane)
                 clock = self._net_lane_value(clock_net, lane)
-                records = cache.get((data, clock))
-                if records is None:
-                    records = cache[(data, clock)] = check_setup_hold(
+                entry = cache.get((data, clock))
+                if entry is None:
+                    found: dict[MarginKey, int] = {}
+                    records = check_setup_hold(
                         f"sdc@{spec.net}",
                         spec.net,
                         data,
@@ -1509,6 +1558,15 @@ class Engine:
                         spec.setup_ps,
                         spec.hold_ps,
                         case_index=case_index,
+                        margins=found,
+                    )
+                    entry = cache[(data, clock)] = (records, found)
+                records, found = entry
+                for (component, kind, signal, ci), margin in found.items():
+                    note_margin(
+                        margins,
+                        (component, kind, self._suffix_name(signal, lane), ci),
+                        margin,
                     )
                 out.extend(
                     _dc_replace(
@@ -1530,6 +1588,7 @@ class Engine:
             spec.setup_ps,
             spec.hold_ps,
             case_index=case_index,
+            margins=margins,
         )
 
     def _check_gating(self, case_index: int) -> list[Violation]:
@@ -1540,11 +1599,11 @@ class Engine:
             if self._word_needed and self._comp_diverged(comp):
 
                 def impl(
-                    c, ci, raw_of, prepared_of, _pin: str = directive_pin
+                    c, ci, raw_of, prepared_of, margins, _pin: str = directive_pin
                 ) -> list[Violation]:
                     return self._check_gating_impl(c, _pin, ci, raw_of, prepared_of)
 
-                out.extend(self._lane_variants(comp, case_index, impl))
+                out.extend(self._lane_variants(comp, case_index, impl, {}))
             else:
                 out.extend(
                     self._check_gating_impl(

@@ -15,7 +15,7 @@ from ..netlist.circuit import Circuit
 from ..netlist.validate import ValidationIssue
 from .config import VerifyConfig
 from .engine import EngineStats
-from .violations import CheckReport, Violation
+from .violations import CheckReport, MarginKey, Violation
 from .waveform import Waveform
 
 
@@ -97,10 +97,19 @@ class VerificationResult:
     phases_cpu: PhaseTimes | None = None
     #: Warm-pool counters at the end of this run; None for serial runs.
     pool: "PoolStats | None" = None
+    #: Summary listings already rendered, by case.
+    _summaries: dict[int, str] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def violations(self) -> list[Violation]:
         return self.report.violations
+
+    @property
+    def margins(self) -> dict[MarginKey, int]:
+        """Signed margin of every setup, hold and pulse-width check."""
+        return self.report.margins
 
     @property
     def ok(self) -> bool:
@@ -115,10 +124,13 @@ class VerificationResult:
         return self.cases[case].waveforms[signal]
 
     def summary_listing(self, case: int = 0) -> str:
-        """The Figure 3-10 style signal-value listing."""
-        from ..reporting.listing import timing_summary
+        """The Figure 3-10 style signal-value listing (rendered once per case)."""
+        text = self._summaries.get(case)
+        if text is None:
+            from ..reporting.listing import timing_summary
 
-        return timing_summary(self, case=case)
+            text = self._summaries[case] = timing_summary(self, case=case)
+        return text
 
     def error_listing(self) -> str:
         """The Figure 3-11 style violation listing."""

@@ -144,18 +144,36 @@ class Violation:
         return self.headline()
 
 
+#: ``(component, kind, signal, case_index)``: where a check files its
+#: margin — the same fields, lane labels included, that name its violations.
+MarginKey = tuple[str, ViolationKind, str, int]
+
+
 @dataclass
 class CheckReport:
-    """All violations and informational notes from one verification run."""
+    """All violations and informational notes from one verification run.
+
+    ``margins`` holds the signed margin in picoseconds of every setup,
+    hold and minimum-pulse-width check (see :mod:`repro.core.checks`),
+    in report order: negative exactly when the check is violated, and
+    then by the full amount (``missed_by_ps`` caps what it prints).
+    """
 
     violations: list[Violation] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    margins: dict[MarginKey, int] = field(default_factory=dict)
 
     def add(self, violation: Violation) -> None:
         self.violations.append(violation)
 
     def extend(self, violations: list[Violation]) -> None:
         self.violations.extend(violations)
+
+    def merge(self, other: "CheckReport") -> None:
+        """Append another report (the next case's) to this one."""
+        self.violations.extend(other.violations)
+        self.notes.extend(other.notes)
+        self.margins.update(other.margins)
 
     def note(self, text: str) -> None:
         self.notes.append(text)

@@ -680,19 +680,43 @@ class Waveform:
         absolute coordinates (``start <= lo <= hi <= end``); instantaneous
         transitions strictly inside the window appear as zero-width entries.
         """
+        return self.instability_scan(start, end)[0]
+
+    def instability_scan(
+        self, start: int, end: int
+    ) -> tuple[list[tuple[int, int, Value]], int | None, int | None]:
+        """:meth:`instability_in` plus the clear distance on either side.
+
+        Returns ``(pieces, before, after)``: ``pieces`` exactly as
+        :meth:`instability_in` reports them; ``before`` is how far back
+        from ``start`` the nearest instability ends and ``after`` how far
+        past ``end`` the next one begins, both measured circularly (an
+        instability inside the window counts through its copy one period
+        away), and both None for a signal that never changes.  A checker's
+        margin on a clean side is that distance (Figure 3-11's "missed
+        by", read the other way round).
+        """
         if end < start:
             raise ValueError("window end precedes start")
-        if end - start > self.period:
-            end = start + self.period
+        period = self.period
+        if end - start > period:
+            end = start + period
         wf = self.materialized()
         out: list[tuple[int, int, Value]] = []
+        clear_before: int | None = None
+        clear_after: int | None = None
         for seg_start, seg_end, value in wf.iter_segments():
             if value in STABLE_VALUES:
                 continue
+            back, ahead = (start - seg_end) % period, (seg_start - end) % period
+            if clear_before is None or back < clear_before:
+                clear_before = back
+            if clear_after is None or ahead < clear_after:
+                clear_after = ahead
             # Each unstable segment may intersect the window in up to two
             # places once both are unrolled onto the absolute time axis.
-            base = (seg_start - start) % self.period + start
-            for occ_start in (base - self.period, base, base + self.period):
+            base = (seg_start - start) % period + start
+            for occ_start in (base - period, base, base + period):
                 occ_end = occ_start + (seg_end - seg_start)
                 lo = max(start, occ_start)
                 hi = min(end, occ_end)
@@ -704,12 +728,17 @@ class Waveform:
             tv = transition_value(before, after)
             if tv in STABLE_VALUES:
                 continue
-            base = (t - start) % self.period + start
-            for occ in (base - self.period, base, base + self.period):
+            back, ahead = (start - t) % period, (t - end) % period
+            if clear_before is None or back < clear_before:
+                clear_before = back
+            if clear_after is None or ahead < clear_after:
+                clear_after = ahead
+            base = (t - start) % period + start
+            for occ in (base - period, base, base + period):
                 if start < occ < end:
                     out.append((occ, occ, tv))
         out.sort()
-        return out
+        return out, clear_before, clear_after
 
     def is_stable_in(self, start: int, end: int) -> bool:
         """True when the signal cannot change anywhere in ``[start, end]``."""

@@ -58,7 +58,7 @@ from .core.verifier import (
     TimingVerifier,
     VerificationResult,
 )
-from .core.violations import Violation
+from .core.violations import CheckReport
 from .core.waveform import Waveform
 from .netlist.circuit import Circuit
 
@@ -260,7 +260,7 @@ class _BlockResult:
     """
 
     start: int
-    violations: list[list[Violation]]  # per case, in block order
+    reports: list[CheckReport]  # violations and margins per case, in order
     assignments: list[dict[str, int]]
     events: list[int]
     xref_assumed_stable: list[str]
@@ -350,7 +350,7 @@ class _Worker:
         build_cpu = time.process_time() - c0
 
         t0, c0 = time.perf_counter(), time.process_time()
-        violations: list[list[Violation]] = []
+        reports: list[CheckReport] = []
         assignments: list[dict[str, int]] = []
         events: list[int] = []
         store: dict[int, dict[str, Waveform]] = {}
@@ -359,14 +359,14 @@ class _Worker:
             if i > 0:
                 engine.apply_case(case)
             events.append(engine.run())
-            violations.append(engine.check(case_index=index))
+            reports.append(engine.check(case_index=index))
             assignments.append(dict(case))
             store[index] = engine.snapshot()
         self.snapshots = store
         self.converged = True
         return _BlockResult(
             start=start,
-            violations=violations,
+            reports=reports,
             assignments=assignments,
             events=events,
             xref_assumed_stable=xref,
@@ -458,7 +458,10 @@ class WorkerPool:
         self._outbox.clear()
         self._procs, self._conns = [], []
         self._decoders, self._names = [], []
-        for k in range(self.jobs):
+        # One worker per case block: a worker with no block would idle
+        # and still take every edit shipment.
+        workers = len(case_blocks(len(self.session.circuit.cases), self.jobs))
+        for k in range(workers):
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
@@ -477,7 +480,7 @@ class WorkerPool:
             self._conns.append(parent_conn)
             self._decoders.append(_WaveDecoder(self.stats))
             self._names.append(None)
-        self.stats.workers = self.jobs
+        self.stats.workers = workers
         self.stats.pool_starts += 1
         self._finalizer = weakref.finalize(
             self, _shutdown_workers, list(self._procs), list(self._conns)

@@ -280,7 +280,7 @@ class Session:
             if index > 0:
                 engine.apply_case(case)
             events = engine.run()
-            report.extend(engine.check(case_index=index))
+            report.merge(engine.check(case_index=index))
             case_results.append(
                 CaseResult(
                     index=index,
@@ -342,7 +342,7 @@ class Session:
             if index > 0:
                 engine.apply_case(case)
             events = engine.run()
-            report.extend(engine.check(case_index=index))
+            report.merge(engine.check(case_index=index))
             case_results.append(
                 CaseResult(
                     index=index,
@@ -466,8 +466,8 @@ class Session:
         report = CheckReport()
         case_results: list[CaseResult] = []
         for k, part in enumerate(parts):
-            for i, per_case in enumerate(part.violations):
-                report.extend(per_case)
+            for i, per_case in enumerate(part.reports):
+                report.merge(per_case)
                 index = part.start + i
                 snap = LazySnapshot(
                     lambda k=k, index=index: pool.fetch_case(k, index)

@@ -572,22 +572,20 @@ def _static_ok(records, baseline_overflow) -> bool:
     return True
 
 
-def _engine_probe(circuit, config, constraints, period_ps) -> int | None:
-    """One engine run at ``period_ps``: None when clean, else the worst
-    ``missed_by_ps`` over all violations (0 when none carries a margin)."""
+def _engine_probe(circuit, config, constraints, period_ps):
+    """One engine run at ``period_ps``: ``(clean, margins)``, the verdict
+    and every check's signed margin (:attr:`CheckReport.margins`)."""
     from ..core.verifier import TimingVerifier
 
     with _at_period(circuit, period_ps):
         result = TimingVerifier(
             circuit, config=config, constraints=constraints
         ).verify()
-    if result.ok:
-        return None
-    return max((v.missed_by_ps or 0) for v in result.violations)
+    return result.ok, result.margins
 
 
 def _engine_ok(circuit, config, constraints, period_ps) -> bool:
-    return _engine_probe(circuit, config, constraints, period_ps) is None
+    return _engine_probe(circuit, config, constraints, period_ps)[0]
 
 
 def _engine_binding(circuit, config, constraints, boundary):
@@ -662,6 +660,10 @@ class StaticFmax:
     passes: int = 0              #: parametric passes taken
     static_evals: int = 0        #: concrete static confirmations taken
     baseline_overflow: frozenset = frozenset()
+    #: Every concrete record at period_ps - 1 (binding is the worst).
+    records: list[SlackRecord] = field(default_factory=list)
+    #: The affine records of the pass that gave ``slope``.
+    forms: list[SlackRecord] = field(default_factory=list)
 
     @property
     def fmax_mhz(self) -> float | None:
@@ -762,6 +764,7 @@ def solve_static_fmax(
     t = design_period
     guess = design_period
     binding_slope: Fraction | None = None
+    binding_forms: list[SlackRecord] = []
     period_limited = True
     visited: set[int] = set()
     while passes < max_passes:
@@ -796,6 +799,7 @@ def solve_static_fmax(
             t = guess
             continue
         binding_slope = _slack_form(binding.slack_ps).b
+        binding_forms = run.records
         guess = candidate
         in_region = run.lo <= candidate and (
             run.hi is None or candidate <= run.hi + 1
@@ -913,6 +917,8 @@ def solve_static_fmax(
         passes=passes,
         static_evals=evals,
         baseline_overflow=baseline_overflow,
+        records=below,
+        forms=binding_forms,
     )
 
 # ---------------------------------------------------------------------------
@@ -940,8 +946,11 @@ class FmaxResult:
     method: str                  #: "anchored" (static + engine confirm)
                                  #: or "bisect" (pure engine bisection)
     static_period_ps: int | None = None   #: conservative static root T_s
+    #: The check that limits Fmax: the engine check with the most negative
+    #: margin one picosecond below it, as its static record (the static
+    #: binding record when no violated check there carries a margin).
     binding: SlackRecord | None = None
-    slope: Fraction | None = None
+    slope: Fraction | None = None         #: d(slack)/dT of ``binding``
     witness: list[WitnessHop] = field(default_factory=list)
     witness_terminal: str = ""   #: what the backward trace ended on
     engine_runs: int = 0
@@ -984,6 +993,98 @@ def _polish_boundary(ok, t: int) -> tuple[int, int]:
     return t, probes
 
 
+def _secant_step(probes, slope: Fraction | None) -> int | None:
+    """Where the check margins put the engine boundary: the next probe.
+
+    ``probes`` maps each period probed so far, in probe order, to the
+    engine's ``(clean, margins)`` there.  Within a region slack is affine
+    in the period, so each check's margins at the last two probes put a
+    secant through its zero; after a single probe the static binding
+    slope stands in for every check's.  Margins are whole picoseconds: a
+    check whose slope is a fraction reads the same margin over several
+    adjacent periods, so its secant reaches back to the latest probe where
+    its margin differed, and a margin ``a`` is taken as the slack anywhere
+    in ``[a, a + 1)`` — the root is aimed at ``a + 1/2``.  Checks whose
+    margin does not shrink with the period predict nothing.  Returns the
+    smallest integer period at or above the highest predicted root, or
+    None when no check predicts one.
+    """
+    trail = [(t, margins) for t, (_clean, margins) in probes.items()]
+    t1, m1 = trail[-1]
+    if len(trail) == 1:
+        if slope is None or not m1:
+            return None
+        return t1 - math.floor(Fraction(2 * min(m1.values()) + 1, 2) / slope)
+    earlier = trail[-2::-1]
+    best = None
+    for key, a in m1.items():
+        for t2, m2 in earlier:
+            b = m2.get(key)
+            if b is not None and b != a:
+                break
+        else:
+            continue
+        dt = t1 - t2
+        if (a - b) * dt <= 0:
+            continue
+        # ceil(t1 - (a + 1/2) / slope), slope = (a - b) / dt
+        root = t1 - ((2 * a + 1) * dt) // (2 * (a - b))
+        if best is None or root > best:
+            best = root
+    return best
+
+
+def _limiting_check(
+    static: StaticFmax, margins
+) -> tuple[SlackRecord | None, Fraction | None]:
+    """The static record and slope of the engine check that limits Fmax.
+
+    ``margins`` are the engine's at one picosecond below the boundary; the
+    check with the most negative one (the first in report order on a tie)
+    is named through its static record, which also supplies the slope.
+    Falls back to the static binding record when no violated check there
+    carries a margin.
+    """
+    key = min(margins, key=margins.__getitem__, default=None)
+    if key is None or margins[key] >= 0:
+        return static.binding, static.slope
+    component, kind, signal, _case = key
+    base = component.split(" [", 1)[0]  # a diverged lane's label
+    record = next(
+        (
+            r
+            for r in static.records
+            if r.component == component and r.signal == signal
+        ),
+        None,
+    ) or next((r for r in static.records if r.component == base), None)
+    if record is None:
+        # No static twin (a pulse-width check): name the engine's check.
+        record = SlackRecord(
+            component=component,
+            prim="",
+            signal=signal,
+            clock="",
+            setup_ps=0,
+            hold_ps=0,
+            slack_ps=None,
+            no_edge=False,
+            overflow=False,
+            origin=None,
+            kind=kind.value,
+        )
+        return record, None
+    form = next(
+        (
+            _slack_form(r.slack_ps)
+            for r in static.forms
+            if _record_key(r) == _record_key(record) and r.slack_ps is not None
+        ),
+        None,
+    )
+    return record, None if form is None else form.b
+
+
 def solve_fmax(
     circuit: Circuit,
     config: VerifyConfig | None = None,
@@ -993,26 +1094,25 @@ def solve_fmax(
 
     The parametric pass gives the conservative static root ``T_s`` (the
     engine is guaranteed clean there — static-positive implies
-    engine-clean).  The constant pessimism of the window pads puts the true
-    engine boundary at most a few picoseconds *below* ``T_s``; a geometric
-    descent plus integer bisection pins it exactly: engine-clean(T*) and
-    engine-violating(T* - 1).
+    engine-clean).  Constant pessimism puts the true engine boundary
+    below ``T_s``; a secant descent steered by the engine's check margins
+    (:func:`_secant_step`) finds it, and the engine's verdicts alone pin
+    it: engine-clean(T*) and engine-violating(T* - 1).
     """
     config = config or VerifyConfig()
     static = solve_static_fmax(circuit, config, constraints)
     runs = 0
-    margin_memo: dict[int, int | None] = {}
-
-    def probe(t: int) -> int | None:
-        """Worst engine miss at T=t (None = clean; memoized)."""
-        nonlocal runs
-        if t not in margin_memo:
-            runs += 1
-            margin_memo[t] = _engine_probe(circuit, config, constraints, t)
-        return margin_memo[t]
+    probes: dict[int, tuple] = {}  # period -> (clean, margins), probe order
 
     def ok(t: int) -> bool:
-        return t >= 1 and probe(t) is None
+        """Engine verdict at T=t (memoized; below 1 counts as violating)."""
+        nonlocal runs
+        if t < 1:
+            return False
+        if t not in probes:
+            runs += 1
+            probes[t] = _engine_probe(circuit, config, constraints, t)
+        return probes[t][0]
 
     if not static.period_limited:
         # Static-clean at every period.  The slack families are sound, but
@@ -1081,34 +1181,38 @@ def solve_fmax(
             "pass lost its soundness contract — run scald-tv --crosscheck"
         )
 
-    # Descend below T_s to the engine boundary.  The bracket [lo_v, hi_c]
-    # shrinks by Newton jumps where possible: a violating probe reports how
-    # much the worst check missed by, and the binding check's slack slope
-    # converts that miss into a period distance — engine slack tracks the
-    # same clock-edge spacing as the static form, so one jump typically
-    # lands on the boundary even when constant pessimism put T_s far above
-    # it.  Every jump is clamped strictly inside the bracket, so the loop
-    # can never do worse than bisection.
-    if not ok(t_clean - 1):
-        boundary = t_clean
-    else:
-        slope = static.slope if static.slope and static.slope > 0 else None
-        lo_v, hi_c = 0, t_clean - 1  # lo_v=0: "below 1" counts as violating
-        while hi_c - lo_v > 1:
-            mid = None
-            if slope is not None and lo_v > 0:
-                miss = margin_memo.get(lo_v)
-                if miss:
-                    mid = lo_v + math.ceil(Fraction(miss) / slope)
-            if mid is None or not lo_v < mid < hi_c:
+    # Descend below T_s to the engine boundary inside the bracket
+    # (lo_v, hi_c]: each probe goes where the margins predict the first
+    # check reaches zero.  A prediction at or above the clean end means
+    # the boundary is within a margin quantum below it, so the probe drops
+    # a polish window; one at or below the violating end (a violation no
+    # margin explains) bisects, and so does any step once two probes have
+    # failed to halve a finite bracket (a margin that jumps rather than
+    # slides, as where a path wraps the folded period), so the search is
+    # never more than twice bisection's length.  Once the bracket fits in
+    # the polish window, every period left is one _polish_boundary probes
+    # anyway, so the search climbs from the violating end.  Margins only
+    # choose the probes — every bracket move is an engine verdict.
+    slope = static.slope if static.slope and static.slope > 0 else None
+    lo_v, hi_c = 0, t_clean  # lo_v=0: "below 1" counts as violating
+    widths: list[int] = []  # bracket width after each probe, once finite
+    while hi_c - lo_v > 1:
+        if hi_c - lo_v <= _POLISH_WINDOW + 1:
+            mid = lo_v + 1
+        else:
+            mid = _secant_step(probes, slope)
+            if mid is not None and mid >= hi_c:
+                mid = hi_c - _POLISH_WINDOW
+            stalled = len(widths) >= 3 and 2 * widths[-1] > widths[-3]
+            if mid is None or mid <= lo_v or stalled:
                 mid = (lo_v + hi_c) // 2
-            mid = max(lo_v + 1, min(mid, hi_c - 1))
-            if ok(mid):
-                hi_c = mid
-            else:
-                lo_v = mid
-        boundary = hi_c
-    boundary, _ = _polish_boundary(ok, boundary)
+        if ok(mid):
+            hi_c = mid
+        else:
+            lo_v = mid
+        if lo_v:
+            widths.append(hi_c - lo_v)
+    boundary, _ = _polish_boundary(ok, hi_c)
     if boundary <= 1 and ok(1):
         # Clean down to the smallest expressible period: not limited.
         return FmaxResult(
@@ -1121,18 +1225,20 @@ def solve_fmax(
             static_evals=static.static_evals,
         )
 
+    # The polish step has already probed boundary - 1.
+    binding, binding_slope = _limiting_check(static, probes[boundary - 1][1])
     witness, terminal = ([], "")
-    if static.binding is not None:
+    if binding is not None:
         witness, terminal = trace_witness(
-            circuit, config, constraints, boundary, static.binding
+            circuit, config, constraints, boundary, binding
         )
     return FmaxResult(
         period_limited=True,
         period_ps=boundary,
         method="anchored",
         static_period_ps=t_s,
-        binding=static.binding,
-        slope=static.slope,
+        binding=binding,
+        slope=binding_slope,
         witness=witness,
         witness_terminal=terminal,
         engine_runs=runs,

@@ -1,11 +1,14 @@
 """Tests for the constraint checkers (sections 2.4.4, 2.4.5, 2.6)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.checks import (
     check_gating_stability,
     check_min_pulse_width,
     check_setup_hold,
+    check_setup_hold_windows,
     check_setup_rise_hold_fall,
     check_stable_assertion,
 )
@@ -280,3 +283,147 @@ class TestStableAssertionCheck:
     def test_unknown_skipped(self):
         asserted = stable_between(10_000, 40_000)
         assert check_stable_assertion("S", Waveform.constant(P, UNKNOWN), asserted) == []
+
+
+SETUP, HOLD = ViolationKind.SETUP, ViolationKind.HOLD
+
+
+class TestMargins:
+    """Signed margins: how far each setup, hold and pulse-width check
+    passed by, or (negative, uncapped) failed by."""
+
+    def test_clean_setup_and_hold_margins(self):
+        # Edge at 20 ns; guard [15, 23] ns; data changes from 40 ns to 10 ns.
+        margins = {}
+        v = check_setup_hold(
+            "chk", "D", stable_between(10_000, 40_000), "CK", clk(),
+            setup_ps=5_000, hold_ps=3_000, margins=margins,
+        )
+        assert v == []
+        assert margins == {
+            ("chk", SETUP, "D", 0): 15_000 - 10_000,
+            ("chk", HOLD, "D", 0): 40_000 - 23_000,
+        }
+
+    def test_violated_margin_is_uncapped(self):
+        """missed_by_ps caps at the setup time (Figure 3-11: "by the
+        full" amount); the margin keeps the whole depth."""
+        margins = {}
+        v = check_setup_hold(
+            "chk", "D", stable_between(21_000, 45_000), "CK", clk(),
+            setup_ps=2_500, hold_ps=3_000, margins=margins, case_index=2,
+        )
+        by_kind = {x.kind: x for x in v}
+        assert by_kind[SETUP].missed_by_ps == 2_500
+        assert margins[("chk", SETUP, "D", 2)] == 17_500 - 21_000
+        assert by_kind[HOLD].missed_by_ps == 3_000
+        assert margins[("chk", HOLD, "D", 2)] == 17_500 - 23_000
+
+    def test_figure_3_11_margin_equals_missed_by(self):
+        margins = {}
+        v = check_setup_hold(
+            "chk", "D", stable_between(47_500, 87_500), "CK",
+            clk(high=(49_000, 49_500)), setup_ps=2_500, hold_ps=0,
+            margins=margins,
+        )
+        assert v[0].missed_by_ps == 1_000
+        assert margins[("chk", SETUP, "D", 0)] == -1_000
+
+    def test_every_edge_keeps_the_smallest(self):
+        two_phase = Waveform.from_intervals(
+            P, ZERO, [(10_000, 15_000, ONE), (35_000, 40_000, ONE)]
+        )
+        margins = {}
+        check_setup_hold(
+            "chk", "D", stable_between(5_000, 30_000), "CK", two_phase,
+            setup_ps=2_000, hold_ps=2_000, margins=margins,
+        )
+        # The 10 ns edge passes with 3 ns of setup margin; the data changes
+        # through the whole [33, 37] ns guard of the 35 ns edge, which
+        # misses both sides by the guard's full width (past the 2 ns cap).
+        assert margins[("chk", SETUP, "D", 0)] == 33_000 - 37_000
+        assert margins[("chk", HOLD, "D", 0)] == 33_000 - 37_000
+
+    def test_rise_hold_fall_margins(self):
+        margins = {}
+        v = check_setup_rise_hold_fall(
+            "chk", "A", stable_between(10_000, 30_500), "WE", clk(),
+            setup_ps=1_000, hold_ps=1_000, margins=margins,
+        )
+        assert [x.kind for x in v] == [HOLD]
+        assert margins == {
+            ("chk", SETUP, "A", 0): 19_000 - 10_000,
+            ("chk", HOLD, "A", 0): 30_500 - 31_000,
+        }
+
+    def test_stable_data_files_no_margin(self):
+        margins = {}
+        check_setup_hold(
+            "chk", "D", Waveform.constant(P, STABLE), "CK", clk(),
+            setup_ps=1_000, hold_ps=1_000, margins=margins,
+        )
+        assert margins == {}
+
+    def test_pulse_width_margins(self):
+        margins = {}
+        v = check_min_pulse_width(
+            "c", "CK", clk(high=(20_000, 25_000)), 6_000, 3_000,
+            margins=margins,
+        )
+        assert [x.kind for x in v] == [ViolationKind.MIN_PULSE_WIDTH_HIGH]
+        assert margins == {
+            ("c", ViolationKind.MIN_PULSE_WIDTH_HIGH, "CK", 0): -1_000,
+            ("c", ViolationKind.MIN_PULSE_WIDTH_LOW, "CK", 0): 45_000 - 3_000,
+        }
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        changes=st.lists(
+            st.tuples(
+                st.integers(0, P - 1),
+                st.integers(0, 8_000),
+                st.sampled_from([CHANGE, ONE]),
+            ),
+            max_size=3,
+        ),
+        rise=st.integers(0, P - 1),
+        width=st.integers(1_000, 20_000),
+        skew=st.integers(0, 2_000),
+        setup=st.integers(-2_000, 6_000),
+        hold=st.integers(-2_000, 6_000),
+    )
+    def test_negative_exactly_when_violated(
+        self, changes, rise, width, skew, setup, hold
+    ):
+        """On every setup/hold checker a margin is negative exactly when
+        the same check reports a violation, and then by at least the
+        (capped) amount it reports."""
+        base = ZERO if changes and changes[0][2] is ONE else STABLE
+        spans = [(lo, min(lo + w, P), val) for lo, w, val in changes if w]
+        data = Waveform.from_intervals(P, base, spans)
+        clock = Waveform.from_intervals(
+            P, ZERO, [(rise, rise + width, ONE)] if rise + width <= P
+            else [(rise, P, ONE), (0, rise + width - P, ONE)],
+            skew=(0, skew),
+        )
+        for run in (
+            lambda m: check_setup_hold(
+                "c", "D", data, "CK", clock, setup, hold, margins=m
+            ),
+            lambda m: check_setup_rise_hold_fall(
+                "c", "D", data, "CK", clock, setup, hold, margins=m
+            ),
+            lambda m: check_setup_hold_windows(
+                "c", "D", data, "CK", clock, setup, hold, 2_500, 1_000,
+                margins=m,
+            ),
+        ):
+            margins = {}
+            violations = [
+                x for x in run(margins) if x.kind in (SETUP, HOLD)
+            ]
+            assert {k for k, m in margins.items() if m < 0} == {
+                ("c", x.kind, "D", 0) for x in violations
+            }
+            for x in violations:
+                assert -margins[("c", x.kind, "D", 0)] >= x.missed_by_ps

@@ -44,6 +44,25 @@ class TestCli:
         assert "TIMING VERIFIER SUMMARY" in out
         assert "CK .P2-3" in out
 
+    def test_summary_rendered_once(self, clean_file, capsys, monkeypatch):
+        """The summary phase's timed render is the one printed."""
+        from repro.hdl.expander import MacroExpander
+        from repro.reporting import listing
+        from repro.session import Session
+
+        render = listing.timing_summary
+        want = render(Session(MacroExpander.from_file(clean_file).expand()).verify())
+        calls = []
+
+        def counted(result, case=0):
+            calls.append(case)
+            return render(result, case=case)
+
+        monkeypatch.setattr(listing, "timing_summary", counted)
+        assert main([clean_file, "--summary"]) == 0
+        assert calls == [0]
+        assert want + "\n" in capsys.readouterr().out
+
     def test_stats_flag(self, clean_file, capsys):
         assert main([clean_file, "--stats"]) == 0
         out = capsys.readouterr().out

@@ -20,10 +20,13 @@ from hypothesis import strategies as st
 
 from repro.core.config import VerifyConfig
 from repro.core.verifier import TimingVerifier
+from repro.core.violations import ViolationKind
 from repro.sta import analyze
 from repro.sta.parametric import (
     Aff,
+    StaticFmax,
     _at_period,
+    _limiting_check,
     _record_key,
     _slack_form,
     bisect_fmax,
@@ -31,8 +34,13 @@ from repro.sta.parametric import (
     solve_fmax,
     solve_static_fmax,
 )
+from repro.sta.slack import SlackRecord
 from repro.workloads import figures
 from repro.workloads.synth import SynthConfig, generate
+
+
+SETUP, HOLD = ViolationKind.SETUP, ViolationKind.HOLD
+MPW_HIGH = ViolationKind.MIN_PULSE_WIDTH_HIGH
 
 
 def _engine_clean(circuit, period_ps, config=None, constraints=None):
@@ -41,6 +49,12 @@ def _engine_clean(circuit, period_ps, config=None, constraints=None):
             circuit, config or VerifyConfig(), constraints=constraints
         ).verify()
     return result.ok
+
+
+def _shifter():
+    from repro.hdl.expander import MacroExpander
+
+    return MacroExpander.from_file("examples/designs/shifter.scald").expand()
 
 
 def _synth_circuit(chips, seed, alu_fraction=0.0):
@@ -204,6 +218,88 @@ class TestBoundaryIsReal:
         assert res.period_limited and res.period_ps is not None
         assert _engine_clean(circuit, res.period_ps)
         assert not _engine_clean(circuit, res.period_ps - 1)
+
+
+class TestProbeBudget:
+    """The margin-steered descent: at most 8 engine runs, same answer."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            None,
+            SynthConfig(chips=60, seed=1),
+            SynthConfig(chips=120, seed=7),
+            SynthConfig(chips=250, seed=7, stage_chips=400),  # BENCH_fmax
+        ],
+        ids=["shifter", "synth60", "synth120", "synth250"],
+    )
+    def test_at_most_eight_engine_runs(self, config):
+        circuit = _shifter() if config is None else generate(config).circuit()[0]
+        analytic = solve_fmax(circuit)
+        assert analytic.engine_runs <= 8
+        assert analytic.period_ps == bisect_fmax(circuit).period_ps
+
+    def test_binding_check_is_violated_one_picosecond_below(self):
+        """Static pessimism sets T_s on synth 120/7 through c18/su, which
+        is clean at Fmax; the check named is the one the engine fails."""
+        circuit = generate(SynthConfig(chips=120, seed=7)).circuit()[0]
+        res = solve_fmax(circuit)
+        with _at_period(circuit, res.period_ps - 1):
+            failing = {
+                (v.component, v.signal)
+                for v in TimingVerifier(circuit).verify().violations
+            }
+        assert (res.binding.component, res.binding.signal) in failing
+
+
+class TestLimitingCheck:
+    """Which check FmaxResult names, from the margins one picosecond
+    below Fmax (no engine run: the tables stand in for the probes)."""
+
+    @staticmethod
+    def _static():
+        def rec(component, signal, slack):
+            return SlackRecord(
+                component=component, prim="SETUP_HOLD_CHK", signal=signal,
+                clock="CK", setup_ps=1_000, hold_ps=1_000, slack_ps=slack,
+                no_edge=False, overflow=False, origin=None,
+            )
+
+        return StaticFmax(
+            period_limited=True,
+            period_ps=50_000,
+            binding=rec("a/su", "A", -1),
+            slope=Fraction(1, 4),
+            records=[rec("a/su", "A", -1), rec("b/su", "B", 700)],
+            forms=[
+                rec("a/su", "A", Aff(-12_501, Fraction(1, 4))),
+                rec("b/su", "B", Aff(-5_550, Fraction(1, 8))),
+            ],
+        )
+
+    @pytest.mark.parametrize(
+        "margins, component, signal, slope",
+        [
+            # The deepest violation names the check and its own slope.
+            ({("a/su", SETUP, "A", 0): -1, ("b/su", SETUP, "B", 1): -3},
+             "b/su", "B", Fraction(1, 8)),
+            # A tie goes to the first check in report order.
+            ({("b/su", HOLD, "B", 0): -2, ("a/su", SETUP, "A", 0): -2},
+             "b/su", "B", Fraction(1, 8)),
+            # No violated check carries a margin: the static binding.
+            ({("b/su", SETUP, "B", 0): 4}, "a/su", "A", Fraction(1, 4)),
+            # A diverged lane's label finds the word's static record.
+            ({("b/su [2]", SETUP, "B [2]", 0): -1},
+             "b/su", "B", Fraction(1, 8)),
+            # No static twin: the engine's own names, no slope.
+            ({("ck/mpw", MPW_HIGH, "CK", 0): -5}, "ck/mpw", "CK", None),
+        ],
+        ids=["deepest", "tie", "no-margin", "lane", "no-twin"],
+    )
+    def test_named_check(self, margins, component, signal, slope):
+        record, got_slope = _limiting_check(self._static(), margins)
+        assert (record.component, record.signal) == (component, signal)
+        assert got_slope == slope
 
 
 class TestOracleAgreement:

@@ -113,6 +113,18 @@ class TestSerialParallelEquivalence:
         par = verify_parallel(circuit, jobs=8)
         assert_equivalent(serial, par)
 
+    def test_pool_sized_by_case_blocks(self):
+        """Two cases make two blocks: eight jobs fork two workers, not
+        eight (a worker with no block would idle yet take every edit)."""
+        circuit = synth_with_cases(60, 3, n_cases=2)
+        sess = Session(synth_with_cases(60, 3, n_cases=2), jobs=8)
+        try:
+            par = sess.verify()
+            assert par.pool.workers == 2
+            assert_equivalent(TimingVerifier(circuit).verify(), par)
+        finally:
+            sess.close()
+
     def test_single_case_partitions_the_circuit(self):
         """A single case is no longer split over workers: it is one fixed
         point with no case axis to shard, so at any ``jobs`` the session

@@ -148,6 +148,30 @@ class TestVerifyOverHttp:
             == inc.stats.dirty_primitives
         )
 
+    def test_reverify_renders_the_summary_once(self, client, monkeypatch):
+        from repro.reporting import listing
+
+        render = listing.timing_summary
+        calls = []
+
+        def counted(result, case=0):
+            calls.append(case)
+            return render(result, case=case)
+
+        edit = WireDelayEdit("AFTER 1", (0.0, 1.0))
+        sid = client.create(path=SHIFTER)
+        client.verify(sid)
+        client.edit(sid, edit_to_doc(edit))
+        monkeypatch.setattr(listing, "timing_summary", counted)
+        doc = client.reverify(sid, prescreen=False)
+        assert calls == [0]
+        monkeypatch.undo()
+
+        direct = Session.from_file(SHIFTER)
+        direct.verify()
+        inc = direct.edit(edit).reverify(prescreen=False)
+        assert doc["summary_listing"] == render(inc.result)
+
     def test_reverify_prescreen_on_wire(self, client):
         sid = client.create(path=SHIFTER)
         client.verify(sid)

@@ -132,9 +132,10 @@ echo
 echo "== Fmax gate: engine clean at Fmax, violating one picosecond below =="
 # The parametric solver's answer must be the *engine's* boundary: on every
 # shipped design and a synthetic sample, the verifier passes at the solved
-# minimum period and fails at period - 1.  Designs that are not
-# period-limited (no check tightens as the clock speeds up, or a
-# period-independent violation) are reported and skipped.
+# minimum period and fails at period - 1, and the binding check it names
+# is among the checks failing there.  Designs that are not period-limited
+# (no check tightens as the clock speeds up, or a period-independent
+# violation) are reported and skipped.
 python - <<'EOF'
 from pathlib import Path
 
@@ -145,9 +146,9 @@ from repro.sta.parametric import _at_period, solve_fmax
 from repro.workloads.synth import SynthConfig, generate
 
 
-def engine_ok(circuit, constraints, period_ps):
+def engine_run(circuit, constraints, period_ps):
     with _at_period(circuit, period_ps):
-        return TimingVerifier(circuit, constraints=constraints).verify().ok
+        return TimingVerifier(circuit, constraints=constraints).verify()
 
 
 def gate(name, circuit, constraints=None):
@@ -157,10 +158,14 @@ def gate(name, circuit, constraints=None):
         print(f"ok: {name} ({why}; {res.engine_runs} engine runs)")
         return
     t = res.period_ps
-    assert engine_ok(circuit, constraints, t), (name, t, "violates at Fmax")
-    assert not engine_ok(circuit, constraints, t - 1), (name, t, "clean below Fmax")
+    assert engine_run(circuit, constraints, t).ok, (name, t, "violates at Fmax")
+    below = engine_run(circuit, constraints, t - 1)
+    assert not below.ok, (name, t, "clean below Fmax")
+    failing = {(v.component, v.signal) for v in below.violations}
+    binding = (res.binding.component, res.binding.signal)
+    assert binding in failing, (name, t, binding, "binding check clean below Fmax")
     print(f"ok: {name} clean at {t} ps, violating at {t - 1} ps "
-          f"({res.method}, {res.engine_runs} engine runs)")
+          f"at {binding[0]} ({res.method}, {res.engine_runs} engine runs)")
 
 
 for path in sorted(Path("examples/designs").glob("*.scald")):
