@@ -11,8 +11,9 @@ benchmark size, and property-tested across synthetic designs in
 The acceptance claim is analytic >= 10x faster than bisection at 250
 chips.  The engine-anchored combined solver (``solve_fmax``) is timed
 alongside for reference — it pays for engine confirmation, so it tracks
-the bisection cost, but with fewer engine runs (Newton jumps off the
-static slope).  Headline numbers land in ``BENCH_fmax.json``.
+the bisection cost, but with fewer engine runs (a secant descent from
+the static root, steered by the engine's check margins).  Headline
+numbers land in ``BENCH_fmax.json``.
 """
 
 from __future__ import annotations

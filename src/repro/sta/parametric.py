@@ -27,21 +27,24 @@ contract), and the pessimism — the 1 ps change-marker pads, skew
 materialization — is constant in ``T``: it perturbs only the ``a``
 coefficients, never the ``b*T`` slopes, so the static root ``T_s`` can
 only sit *above* the true engine boundary.  Reported Fmax is therefore
-conservative by construction.  :func:`solve_fmax` anchors ``T_s`` to the
-engine with a short confirmation descent, giving the exact engine boundary
-that :func:`bisect_fmax` — the independent pure-bisection oracle behind
-``scald-tv --fmax`` — must reproduce to within the rounding wobble.
+conservative by construction.  :func:`solve_fmax` runs one engine search
+from ``T_s`` — from the design period when there is none — doubling the
+period while it violates (checks with no static twin may fail at
+``T_s``), giving the exact engine boundary that :func:`bisect_fmax` — the
+independent pure-bisection oracle behind ``scald-tv --fmax`` — must
+reproduce to within the rounding wobble.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from ..core.config import VerifyConfig
 from ..core.engine import _SUPPLY
 from ..core.timeline import Timebase, scaled_timebase
+from ..core.violations import ViolationKind
 from ..netlist.circuit import Circuit, Component, Connection, Net
 from .slack import SlackRecord, compute_slack
 from .windows import IntervalSet, WindowAnalysis, compute_windows, _used_input_conns
@@ -573,74 +576,23 @@ def _static_ok(records, baseline_overflow) -> bool:
 
 
 def _engine_probe(circuit, config, constraints, period_ps):
-    """One engine run at ``period_ps``: ``(clean, margins)``, the verdict
-    and every check's signed margin (:attr:`CheckReport.margins`)."""
+    """One engine run at ``period_ps``: ``(clean, margins, violations)``,
+    the verdict, every check's signed margin (:attr:`CheckReport.margins`)
+    and each violation in report order, keyed like the margins."""
     from ..core.verifier import TimingVerifier
 
     with _at_period(circuit, period_ps):
         result = TimingVerifier(
             circuit, config=config, constraints=constraints
         ).verify()
-    return result.ok, result.margins
+    violations = [
+        (v.component, v.kind, v.signal, v.case_index) for v in result.violations
+    ]
+    return result.ok, result.margins, violations
 
 
 def _engine_ok(circuit, config, constraints, period_ps) -> bool:
     return _engine_probe(circuit, config, constraints, period_ps)[0]
-
-
-def _engine_binding(circuit, config, constraints, boundary):
-    """Name the check the engine reports one picosecond below the boundary.
-
-    Used by the bisection fallback, where the static pass could not name a
-    binding record itself.  Returns ``(record, witness, terminal)`` — the
-    concrete static record matching the first engine violation at
-    ``boundary - 1`` (None when no static record corresponds).
-    """
-    from ..core.verifier import TimingVerifier
-
-    if boundary is None or boundary <= 1:
-        return None, [], ""
-    with _at_period(circuit, boundary - 1):
-        result = TimingVerifier(
-            circuit, config=config, constraints=constraints
-        ).verify()
-    if result.ok or not result.violations:
-        return None, [], ""
-    v = result.violations[0]
-    records = _static_records(circuit, config, constraints, boundary - 1)
-    record = None
-    for rec in records:
-        if rec.component == v.component and rec.signal == v.signal:
-            record = rec
-            break
-    else:
-        for rec in records:
-            if rec.component == v.component:
-                record = rec
-                break
-    probe = record if record is not None else None
-    signal = probe.signal if probe is not None else v.signal
-    witness, terminal = trace_witness(
-        circuit,
-        config,
-        constraints,
-        boundary,
-        probe
-        if probe is not None
-        else SlackRecord(
-            component=v.component,
-            prim="",
-            signal=signal,
-            clock="",
-            setup_ps=0,
-            hold_ps=0,
-            slack_ps=None,
-            no_edge=False,
-            overflow=False,
-            origin=None,
-        ),
-    )
-    return record, witness, terminal
 
 
 # ---------------------------------------------------------------------------
@@ -711,12 +663,19 @@ def _region_candidate(run: ParametricRun, baseline_overflow):
     return candidate, binding, feasible
 
 
+#: Parametric passes the static region walk takes before it settles.
+_MAX_PASSES = 24
+#: One-picosecond steps the static confirmation walk takes before bisecting.
+_MAX_WALK = 64
+#: Doublings of a violating period while looking for a clean ceiling, in
+#: the static walk and in both engine searches.
+_MAX_DOUBLINGS = 16
+
+
 def solve_static_fmax(
     circuit: Circuit,
     config: VerifyConfig | None = None,
     constraints=None,
-    max_passes: int = 24,
-    max_walk: int = 64,
 ) -> StaticFmax:
     """Closed-form static Fmax via the guided region walk.
 
@@ -767,7 +726,7 @@ def solve_static_fmax(
     binding_forms: list[SlackRecord] = []
     period_limited = True
     visited: set[int] = set()
-    while passes < max_passes:
+    while passes < _MAX_PASSES:
         run = run_parametric(circuit, config, constraints, t0=t)
         passes += 1
         candidate, binding, feasible = _region_candidate(run, baseline_overflow)
@@ -834,7 +793,7 @@ def solve_static_fmax(
     t = max(1, guess)
     steps = 0
     if clean(t):
-        while t > 1 and clean(t - 1) and steps < max_walk:
+        while t > 1 and clean(t - 1) and steps < _MAX_WALK:
             t -= 1
             steps += 1
         if t > 1 and clean(t - 1):
@@ -852,14 +811,14 @@ def solve_static_fmax(
             while t > 1 and clean(t - 1):
                 t -= 1
     else:
-        while not clean(t) and steps < max_walk:
+        while not clean(t) and steps < _MAX_WALK:
             t += 1
             steps += 1
         if not clean(t):
             # Guess was far low: bisect up against a known-clean ceiling.
             hi_c = max(design_period, t + 1)
             doublings = 0
-            while not clean(hi_c) and doublings < 16:
+            while not clean(hi_c) and doublings < _MAX_DOUBLINGS:
                 hi_c *= 2
                 doublings += 1
             if not clean(hi_c):
@@ -943,12 +902,13 @@ class FmaxResult:
 
     period_limited: bool
     period_ps: int | None        #: smallest engine-clean period (exact)
-    method: str                  #: "anchored" (static + engine confirm)
-                                 #: or "bisect" (pure engine bisection)
+    method: str                  #: "anchored" (solve_fmax) or "bisect"
+                                 #: (bisect_fmax's pure engine bisection)
     static_period_ps: int | None = None   #: conservative static root T_s
     #: The check that limits Fmax: the engine check with the most negative
     #: margin one picosecond below it, as its static record (the static
-    #: binding record when no violated check there carries a margin).
+    #: binding record when no violated check there carries a margin, and
+    #: without one the first engine violation there).
     binding: SlackRecord | None = None
     slope: Fraction | None = None         #: d(slack)/dT of ``binding``
     witness: list[WitnessHop] = field(default_factory=list)
@@ -963,6 +923,19 @@ class FmaxResult:
             return None
         return 1e6 / self.period_ps
 
+
+#: The violation kinds the static slack families bound: static-clean
+#: implies engine-clean on these alone.  Pulse-width, glitch, gating,
+#: assertion, no-edge and stable-while-true checks have no static twin.
+_STATIC_KINDS = frozenset(
+    {
+        ViolationKind.SETUP,
+        ViolationKind.HOLD,
+        ViolationKind.RECOVERY,
+        ViolationKind.REMOVAL,
+        ViolationKind.BORROW,
+    }
+)
 
 #: How far below a found boundary both oracles re-probe: the engine's
 #: slack-vs-T curve is a step function of interleaved roundings and can be
@@ -996,8 +969,8 @@ def _polish_boundary(ok, t: int) -> tuple[int, int]:
 def _secant_step(probes, slope: Fraction | None) -> int | None:
     """Where the check margins put the engine boundary: the next probe.
 
-    ``probes`` maps each period probed so far, in probe order, to the
-    engine's ``(clean, margins)`` there.  Within a region slack is affine
+    ``probes`` maps each period probed so far, in probe order, to its
+    :func:`_engine_probe` result.  Within a region slack is affine
     in the period, so each check's margins at the last two probes put a
     secant through its zero; after a single probe the static binding
     slope stands in for every check's.  Margins are whole picoseconds: a
@@ -1009,7 +982,7 @@ def _secant_step(probes, slope: Fraction | None) -> int | None:
     smallest integer period at or above the highest predicted root, or
     None when no check predicts one.
     """
-    trail = [(t, margins) for t, (_clean, margins) in probes.items()]
+    trail = [(t, margins) for t, (_clean, margins, _v) in probes.items()]
     t1, m1 = trail[-1]
     if len(trail) == 1:
         if slope is None or not m1:
@@ -1035,7 +1008,7 @@ def _secant_step(probes, slope: Fraction | None) -> int | None:
 
 
 def _limiting_check(
-    static: StaticFmax, margins
+    static: StaticFmax, margins, violations=()
 ) -> tuple[SlackRecord | None, Fraction | None]:
     """The static record and slope of the engine check that limits Fmax.
 
@@ -1043,11 +1016,14 @@ def _limiting_check(
     check with the most negative one (the first in report order on a tie)
     is named through its static record, which also supplies the slope.
     Falls back to the static binding record when no violated check there
-    carries a margin.
+    carries a margin, and without one to the first of the engine's
+    ``violations`` there (keyed like the margins), named the same way.
     """
     key = min(margins, key=margins.__getitem__, default=None)
     if key is None or margins[key] >= 0:
-        return static.binding, static.slope
+        if static.binding is not None or not violations:
+            return static.binding, static.slope
+        key = violations[0]
     component, kind, signal, _case = key
     base = component.split(" [", 1)[0]  # a diverged lane's label
     record = next(
@@ -1059,7 +1035,8 @@ def _limiting_check(
         None,
     ) or next((r for r in static.records if r.component == base), None)
     if record is None:
-        # No static twin (a pulse-width check): name the engine's check.
+        # No static twin (a pulse-width or assertion check): name the
+        # engine's check.
         record = SlackRecord(
             component=component,
             prim="",
@@ -1085,116 +1062,37 @@ def _limiting_check(
     return record, None if form is None else form.b
 
 
-def solve_fmax(
-    circuit: Circuit,
-    config: VerifyConfig | None = None,
-    constraints=None,
-) -> FmaxResult:
-    """Analytic Fmax: static closed form anchored by engine confirmation.
+def _descend(ok, probes, start: int, slope: Fraction | None) -> int | None:
+    """The engine boundary below a clean ceiling found from ``start``.
 
-    The parametric pass gives the conservative static root ``T_s`` (the
-    engine is guaranteed clean there — static-positive implies
-    engine-clean).  Constant pessimism puts the true engine boundary
-    below ``T_s``; a secant descent steered by the engine's check margins
-    (:func:`_secant_step`) finds it, and the engine's verdicts alone pin
-    it: engine-clean(T*) and engine-violating(T* - 1).
+    ``ok`` is the memoized engine verdict that fills ``probes`` (see
+    :func:`_secant_step`).  ``start`` doubles while it violates, at most
+    :data:`_MAX_DOUBLINGS` times; None when no doubled period is clean.
+    Returns the smallest clean period below the ceiling, polished.
     """
-    config = config or VerifyConfig()
-    static = solve_static_fmax(circuit, config, constraints)
-    runs = 0
-    probes: dict[int, tuple] = {}  # period -> (clean, margins), probe order
-
-    def ok(t: int) -> bool:
-        """Engine verdict at T=t (memoized; below 1 counts as violating)."""
-        nonlocal runs
-        if t < 1:
-            return False
-        if t not in probes:
-            runs += 1
-            probes[t] = _engine_probe(circuit, config, constraints, t)
-        return probes[t][0]
-
-    if not static.period_limited:
-        # Static-clean at every period.  The slack families are sound, but
-        # the engine also runs checks with no static twin (gated-clock
-        # glitches among them) — confirm before claiming unlimited, and
-        # hand the engine authority when it disagrees.
-        if ok(circuit.timebase.period_ps) and ok(1):
-            return FmaxResult(
-                period_limited=False,
-                period_ps=None,
-                method="anchored",
-                static_period_ps=None,
-                engine_runs=runs,
-                parametric_passes=static.passes,
-                static_evals=static.static_evals,
-            )
-        fb = bisect_fmax(circuit, config, constraints)
-        binding, witness, terminal = _engine_binding(
-            circuit, config, constraints, fb.period_ps
-        )
-        return FmaxResult(
-            period_limited=fb.period_limited,
-            period_ps=fb.period_ps,
-            method="anchored-fallback",
-            static_period_ps=None,
-            binding=binding,
-            witness=witness,
-            witness_terminal=terminal,
-            engine_runs=runs + fb.engine_runs,
-            parametric_passes=static.passes,
-            static_evals=static.static_evals,
-        )
-    if static.period_ps is None:
-        # The static pass never goes clean at any period (structural
-        # pessimism, e.g. assertion windows permanently inside a guard).
-        # Fall back to the engine oracle so the answer stays exact.
-        fb = bisect_fmax(circuit, config, constraints)
-        binding, witness, terminal = _engine_binding(
-            circuit, config, constraints, fb.period_ps
-        )
-        return FmaxResult(
-            period_limited=fb.period_limited,
-            period_ps=fb.period_ps,
-            method="anchored-fallback",
-            static_period_ps=None,
-            binding=binding,
-            slope=static.slope,
-            witness=witness,
-            witness_terminal=terminal,
-            engine_runs=fb.engine_runs,
-            parametric_passes=static.passes,
-            static_evals=static.static_evals,
-        )
-
-    t_s = static.period_ps
-    # Soundness says the engine is clean at T_s; confirm, and walk up in
-    # the (never-observed) case a rounding edge bites.
-    t_clean = t_s
-    guard = 0
-    while not ok(t_clean) and guard < 64:
-        t_clean += 1
-        guard += 1
-    if not ok(t_clean):
-        raise AssertionError(
-            f"engine violates at static-clean period {t_s}: the static "
-            "pass lost its soundness contract — run scald-tv --crosscheck"
-        )
-
-    # Descend below T_s to the engine boundary inside the bracket
-    # (lo_v, hi_c]: each probe goes where the margins predict the first
-    # check reaches zero.  A prediction at or above the clean end means
-    # the boundary is within a margin quantum below it, so the probe drops
-    # a polish window; one at or below the violating end (a violation no
-    # margin explains) bisects, and so does any step once two probes have
-    # failed to halve a finite bracket (a margin that jumps rather than
-    # slides, as where a path wraps the folded period), so the search is
-    # never more than twice bisection's length.  Once the bracket fits in
-    # the polish window, every period left is one _polish_boundary probes
+    hi_c, doublings = start, 0
+    while not ok(hi_c) and doublings < _MAX_DOUBLINGS:
+        hi_c *= 2
+        doublings += 1
+    if not ok(hi_c):
+        return None
+    # Descend to the engine boundary inside the bracket (lo_v, hi_c]:
+    # each probe goes where the margins predict the first check reaches
+    # zero.  A prediction at or above the clean end means the boundary is
+    # within a margin quantum below it, so the probe drops a polish
+    # window; one at or below the violating end (a violation no margin
+    # explains) bisects, and so does any step once two probes have failed
+    # to halve a finite bracket (a margin that jumps rather than slides,
+    # as where a path wraps the folded period), so the search is never
+    # more than twice bisection's length.  Once the bracket fits in the
+    # polish window, every period left is one _polish_boundary probes
     # anyway, so the search climbs from the violating end.  Margins only
     # choose the probes — every bracket move is an engine verdict.
-    slope = static.slope if static.slope and static.slope > 0 else None
-    lo_v, hi_c = 0, t_clean  # lo_v=0: "below 1" counts as violating
+    lo_v = max(  # 0 when nothing below violated: "below 1" violates
+        (t for t, (clean, *_) in probes.items() if t < hi_c and not clean),
+        default=0,
+    )
+    slope = slope if slope and slope > 0 else None
     widths: list[int] = []  # bracket width after each probe, once finite
     while hi_c - lo_v > 1:
         if hi_c - lo_v <= _POLISH_WINDOW + 1:
@@ -1212,33 +1110,89 @@ def solve_fmax(
             lo_v = mid
         if lo_v:
             widths.append(hi_c - lo_v)
-    boundary, _ = _polish_boundary(ok, hi_c)
-    if boundary <= 1 and ok(1):
-        # Clean down to the smallest expressible period: not limited.
-        return FmaxResult(
-            period_limited=False,
-            period_ps=None,
-            method="anchored",
-            static_period_ps=t_s,
-            engine_runs=runs,
-            parametric_passes=static.passes,
-            static_evals=static.static_evals,
-        )
+    return _polish_boundary(ok, hi_c)[0]
 
-    # The polish step has already probed boundary - 1.
-    binding, binding_slope = _limiting_check(static, probes[boundary - 1][1])
-    witness, terminal = ([], "")
-    if binding is not None:
-        witness, terminal = trace_witness(
-            circuit, config, constraints, boundary, binding
+
+def solve_fmax(
+    circuit: Circuit,
+    config: VerifyConfig | None = None,
+    constraints=None,
+) -> FmaxResult:
+    """Analytic Fmax: one engine search started from the static closed form.
+
+    The parametric pass gives the conservative static root ``T_s``: on
+    every check the static slack families bound, the engine is guaranteed
+    clean there (static-positive implies engine-clean).  The search starts
+    at ``T_s`` — at the design period when the static pass gives none —
+    and doubles the period while the start violates.  Below that clean
+    ceiling a secant descent steered by the engine's check margins
+    (:func:`_descend`) finds the boundary, and the engine's verdicts alone
+    pin it: engine-clean(T*) and engine-violating(T* - 1).
+    """
+    config = config or VerifyConfig()
+    static = solve_static_fmax(circuit, config, constraints)
+    t_s = static.period_ps
+    runs = 0
+    probes: dict[int, tuple] = {}  # period -> _engine_probe(...), probe order
+
+    def ok(t: int) -> bool:
+        """Engine verdict at T=t (memoized; below 1 counts as violating)."""
+        nonlocal runs
+        if t < 1:
+            return False
+        if t not in probes:
+            runs += 1
+            probes[t] = _engine_probe(circuit, config, constraints, t)
+        return probes[t][0]
+
+    design = circuit.timebase.period_ps
+    # A design static-clean at every period is engine-confirmed: the slack
+    # families are sound, but the engine also runs checks with no static
+    # twin (gated-clock glitches among them), so it must be clean at the
+    # design period and at 1 ps.
+    limited = static.period_limited or not (ok(design) and ok(1))
+    boundary = None
+    if limited:
+        if t_s is not None and not ok(t_s) and any(
+            kind in _STATIC_KINDS for _c, kind, _s, _i in probes[t_s][2]
+        ):
+            raise AssertionError(
+                f"engine violates at static-clean period {t_s}: the static "
+                "pass lost its soundness contract — run scald-tv --crosscheck"
+            )
+        boundary = _descend(
+            ok, probes, design if t_s is None else t_s, static.slope
         )
+        if boundary == 1:
+            # Clean down to the smallest expressible period: not limited.
+            limited, boundary = False, None
+
+    binding = slope = None
+    witness, terminal = [], ""
+    if boundary is not None:
+        # The polish step has already probed boundary - 1.
+        _clean, margins, violations = probes[boundary - 1]
+        if t_s is None:
+            # No static root to name records below: one static pass there.
+            static = replace(
+                static,
+                records=_static_records(
+                    circuit, config, constraints, boundary - 1
+                ),
+                static_evals=static.static_evals + 1,
+            )
+        binding, slope = _limiting_check(static, margins, violations)
+        if binding is not None:
+            witness, terminal = trace_witness(
+                circuit, config, constraints, boundary, binding
+            )
     return FmaxResult(
-        period_limited=True,
+        period_limited=limited,
         period_ps=boundary,
         method="anchored",
         static_period_ps=t_s,
         binding=binding,
-        slope=binding_slope,
+        slope=slope,
         witness=witness,
         witness_terminal=terminal,
         engine_runs=runs,
@@ -1251,7 +1205,6 @@ def bisect_fmax(
     circuit: Circuit,
     config: VerifyConfig | None = None,
     constraints=None,
-    max_doublings: int = 16,
 ) -> FmaxResult:
     """Independent Fmax oracle: pure bisection over full engine runs.
 
@@ -1280,7 +1233,7 @@ def bisect_fmax(
         hi_c = t0
     else:
         hi_c = t0
-        for _ in range(max_doublings):
+        for _ in range(_MAX_DOUBLINGS):
             hi_c *= 2
             if ok(hi_c):
                 break

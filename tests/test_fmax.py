@@ -12,6 +12,7 @@ Three layers of evidence:
   engine is clean at Fmax and violating one picosecond below.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,15 @@ def _shifter():
     from repro.hdl.expander import MacroExpander
 
     return MacroExpander.from_file("examples/designs/shifter.scald").expand()
+
+
+PULSE_WIDTH = "tests/fixtures/pulse_width.scald"
+
+
+def _pulse_width():
+    from repro.hdl.expander import MacroExpander
+
+    return MacroExpander.from_file(PULSE_WIDTH).expand()
 
 
 def _synth_circuit(chips, seed, alu_fraction=0.0):
@@ -221,7 +231,7 @@ class TestBoundaryIsReal:
 
 
 class TestProbeBudget:
-    """The margin-steered descent: at most 8 engine runs, same answer."""
+    """The margin-steered search: few engine runs, bisection's answer."""
 
     @pytest.mark.parametrize(
         "config",
@@ -250,6 +260,101 @@ class TestProbeBudget:
                 for v in TimingVerifier(circuit).verify().violations
             }
         assert (res.binding.component, res.binding.signal) in failing
+
+    @pytest.mark.parametrize(
+        "builder, budget, component, signal",
+        [
+            (figures.fig_2_5_register_file, 7, "rf/su addr", "ADR"),
+            (_pulse_width, 9, "mpw", "CK .P2-3"),
+        ],
+        ids=["fig_2_5", "pulse_width"],
+    )
+    def test_no_clean_static_root(self, builder, budget, component, signal):
+        """Fig. 2-5 has no static root and the fixture's engine violates
+        at it: the same margin-steered search, from a violating start."""
+        circuit = builder()
+        analytic = solve_fmax(circuit)
+        assert analytic.engine_runs <= budget
+        assert analytic.period_ps == bisect_fmax(circuit).period_ps
+        assert (analytic.binding.component, analytic.binding.signal) == (
+            component, signal,
+        )
+
+
+class TestEngineRunsCounted:
+    """``engine_runs`` is every engine run the search made, attribution
+    included: no verification happens off the books."""
+
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            figures.fig_2_5_register_file,
+            figures.fig_3_12_alu_datapath,
+            figures.fig_1_5_gated_clock,
+            _shifter,
+        ],
+        ids=["fig_2_5", "fig_3_12", "fig_1_5", "shifter"],
+    )
+    def test_verify_calls_equal_engine_runs(self, builder, monkeypatch):
+        circuit = builder()
+        calls = []
+        verify = TimingVerifier.verify
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return verify(self, *args, **kwargs)
+
+        monkeypatch.setattr(TimingVerifier, "verify", counted)
+        res = solve_fmax(circuit)
+        assert res.method == "anchored"
+        assert len(calls) == res.engine_runs
+
+
+class TestStartAboveStaticRoot:
+    """Regression: a minimum-pulse-width check holds the clock above the
+    static root ``T_s``.  The static pass has no pulse-width twin, so the
+    engine fails there; the search doubles up from ``T_s`` instead of
+    calling the static pass unsound."""
+
+    def test_answer_binding_and_cost(self):
+        circuit = _pulse_width()
+        res = solve_fmax(circuit)
+        assert res.static_period_ps == 21998
+        assert res.period_ps == bisect_fmax(circuit).period_ps == 39994
+        assert res.method == "anchored"
+        assert (res.binding.component, res.binding.signal) == (
+            "mpw", "CK .P2-3",
+        )
+        assert res.binding.kind == MPW_HIGH.value
+        assert res.engine_runs <= 9
+
+    def test_scald_sta_prints_the_binding(self, capsys):
+        from repro.sta.cli import main
+
+        assert main([PULSE_WIDTH, "--fmax"]) == 0
+        out = capsys.readouterr().out
+        assert "min period 39994 ps" in out
+        assert (
+            "binding check: mpw on 'CK .P2-3' [min-pulse-width-high]" in out
+        )
+
+
+class TestSoundnessAssertion:
+    """An engine setup or hold violation at a static-clean period breaks
+    the crosscheck contract: the search must raise, never step past it."""
+
+    @pytest.mark.parametrize("t_s", [20_000, 28_099])
+    def test_setup_violation_at_static_root_raises(self, t_s, monkeypatch):
+        from repro.sta import parametric
+
+        solve = parametric.solve_static_fmax
+
+        def optimistic(*args, **kwargs):
+            return dataclasses.replace(solve(*args, **kwargs), period_ps=t_s)
+
+        monkeypatch.setattr(parametric, "solve_static_fmax", optimistic)
+        with pytest.raises(AssertionError, match="lost its soundness contract"):
+            solve_fmax(_shifter())  # true boundary 28 100 ps
 
 
 class TestLimitingCheck:
@@ -316,6 +421,32 @@ class TestOracleAgreement:
         assert (analytic.period_ps is None) == (oracle.period_ps is None)
         if analytic.period_ps is not None:
             assert abs(analytic.period_ps - oracle.period_ps) <= 1
+
+    @pytest.mark.parametrize(
+        "builder, period, binding",
+        [
+            (
+                figures.fig_3_12_alu_datapath,
+                43996,
+                ("assertion", "STATUS .S1-8", "assertion-mismatch"),
+            ),
+            (figures.fig_4_1_correlation, None, None),
+        ],
+        ids=["fig_3_12", "fig_4_1"],
+    )
+    def test_figures_without_static_root(self, builder, period, binding):
+        """No static root on either figure; Fig. 4-1 has no clean period
+        at all.  Fig. 3-12's limit is an assertion mismatch, which files
+        no margin: the first engine violation below Fmax is named."""
+        circuit = builder()
+        analytic = solve_fmax(circuit)
+        oracle = bisect_fmax(circuit)
+        assert analytic.period_limited and oracle.period_limited
+        assert analytic.period_ps == oracle.period_ps == period
+        rec = analytic.binding
+        assert binding == (
+            None if rec is None else (rec.component, rec.signal, rec.kind)
+        )
 
     def test_alu_mix_agrees_too(self):
         circuit = _synth_circuit(60, 1, alu_fraction=0.04)

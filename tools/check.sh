@@ -135,7 +135,10 @@ echo "== Fmax gate: engine clean at Fmax, violating one picosecond below =="
 # minimum period and fails at period - 1, and the binding check it names
 # is among the checks failing there.  Designs that are not period-limited
 # (no check tightens as the clock speeds up, or a period-independent
-# violation) are reported and skipped.
+# violation) are reported and skipped.  Three designs start the search
+# away from a clean static root: Fig. 2-5 has none, Fig. 3-12's limiting
+# check (an assertion mismatch) files no margin, and the pulse-width
+# fixture's engine fails at the static root on a check with no static twin.
 python - <<'EOF'
 from pathlib import Path
 
@@ -143,6 +146,7 @@ from repro.core.verifier import TimingVerifier
 from repro.hdl.expander import MacroExpander
 from repro.constraints import load_constraints
 from repro.sta.parametric import _at_period, solve_fmax
+from repro.workloads import figures
 from repro.workloads.synth import SynthConfig, generate
 
 
@@ -177,6 +181,11 @@ for path in sorted(Path("examples/designs").glob("*.scald")):
 for chips, seed in ((60, 1), (200, 7)):
     circuit, _ = generate(SynthConfig(chips=chips, seed=seed)).circuit()
     gate(f"synth chips={chips} seed={seed}", circuit)
+
+for name in ("fig_2_5_register_file", "fig_3_12_alu_datapath"):
+    gate(name, getattr(figures, name)())
+fixture = "tests/fixtures/pulse_width.scald"
+gate(fixture, MacroExpander.from_file(fixture).expand())
 EOF
 
 echo
