@@ -190,13 +190,13 @@ def _lane_lookup(table: dict, name: str):
 
 
 def input_delay_spans(
-    spec: InputDelay, circuit, config
+    spec: InputDelay, circuit, config, timebase
 ) -> list[tuple[int, int]]:
     """The change windows an input-delay constraint declares, in ps.
 
     Shared by the engine (which paints CHANGE over these spans) and the
     static analysis (which uses them as the net's rise/fall windows) so
-    the two sides see byte-identical intervals.
+    the two sides see byte-identical intervals at the run's ``timebase``.
     """
     net = circuit.nets.get(spec.clock)
     if net is None:
@@ -206,7 +206,7 @@ def input_delay_spans(
     if assertion is None or not assertion.kind.is_clock:
         return []
     skew = config.clock_skew_ns(assertion.kind.name == "PRECISION_CLOCK")
-    wf = assertion.waveform(circuit.timebase, skew).materialized()
+    wf = assertion.waveform(timebase, skew).materialized()
     return [
         (r0 + spec.min_ps, r1 + spec.max_ps) for r0, r1 in wf.rising_windows()
     ]

@@ -19,7 +19,7 @@ import heapq
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace as _dc_replace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from ..netlist.circuit import Circuit, Component, Connection, Net, parse_lane_ref
 from .checks import (
@@ -254,7 +254,9 @@ class Engine:
         #: no longer depends on what the process-global table happens to
         #: still hold between back-to-back API runs.
         self._intern_table = intern_table if intern_table is not None else InternTable()
-        self.period = circuit.period_ps
+        #: The run's timebase and period: the circuit's own unless
+        #: :meth:`initialize` was given another (an Fmax trial period).
+        self.timebase, self.period = circuit.timebase, circuit.period_ps
         self.values: dict[Net, Waveform] = {}
         self.stats = EngineStats()
         self.xref_assumed_stable: list[str] = []
@@ -489,8 +491,14 @@ class Engine:
     # initialization (section 2.9, first step)
     # ------------------------------------------------------------------
 
-    def initialize(self, case: dict[str, int] | None = None) -> None:
-        """Set every signal to its starting value and queue all primitives."""
+    def initialize(self, case: dict[str, int] | None = None, timebase=None) -> None:
+        """Set every signal to its starting value and queue all primitives.
+
+        ``timebase`` runs the circuit at another clock period (an Fmax
+        probe's); by default the run uses the circuit's own.
+        """
+        timebase = timebase or self.circuit.timebase
+        self.timebase, self.period = timebase, timebase.period_ps
         self.values.clear()
         self._fixed.clear()
         self.xref_assumed_stable.clear()
@@ -595,14 +603,14 @@ class Engine:
             skew = self.config.clock_skew_ns(
                 assertion.kind.name == "PRECISION_CLOCK"
             )
-            return assertion.waveform(self.circuit.timebase, skew), False
+            return assertion.waveform(self.timebase, skew), False
         if driven:
             return Waveform.constant(self.period, UNKNOWN), False
         if assertion is not None:
             # Interface signal: the designer's assertion drives it until
             # hardware generates it (section 2.5.2).
             self._fixed.add(rep)
-            return assertion.waveform(self.circuit.timebase), True
+            return assertion.waveform(self.timebase), True
         if self.constraints is not None:
             spec = self.constraints.input_delay_for(rep.name)
             if spec is not None:
@@ -613,7 +621,9 @@ class Engine:
                 # enclosure holds by construction.
                 from ..constraints import input_delay_spans
 
-                spans = input_delay_spans(spec, self.circuit, self.config)
+                spans = input_delay_spans(
+                    spec, self.circuit, self.config, self.timebase
+                )
                 if spans:
                     self._fixed.add(rep)
                     wf = Waveform.from_intervals(
@@ -722,6 +732,21 @@ class Engine:
         self.stats.events_by_case.append(events)
         return events
 
+    def run_cases(
+        self, cases: list[dict[str, int]], first: int = 0
+    ) -> Iterator[tuple[int, int, CheckReport]]:
+        """Run and check each case in turn from the state :meth:`initialize`
+        or :meth:`incremental_begin` left at ``cases[0]`` (section 2.7).
+
+        Yields ``(index, events, report)`` per case, numbered from
+        ``first``, while the engine holds that case's converged state.
+        """
+        for index, case in enumerate(cases, first):
+            if index > first:
+                self.apply_case(case)
+            events = self.run()
+            yield index, events, self.check(case_index=index)
+
     def apply_case(self, case: dict[str, int]) -> None:
         """Switch to the next case, disturbing only affected signals."""
         new_map, new_lanes = self._build_case_map(case)
@@ -771,7 +796,7 @@ class Engine:
     def _case_change_raw(self, rep: Net) -> tuple[Waveform, bool]:
         assertion = rep.assertion
         if assertion is not None and not assertion.kind.is_clock:
-            return assertion.waveform(self.circuit.timebase), True
+            return assertion.waveform(self.timebase), True
         if assertion is None and rep.base_name.upper() not in _SUPPLY:
             return Waveform.constant(self.period, STABLE), True
         return self.values[rep], False
@@ -1651,7 +1676,7 @@ class Engine:
                 or rep not in self._drivers
             ):
                 continue
-            asserted = assertion.waveform(self.circuit.timebase)
+            asserted = assertion.waveform(self.timebase)
             over = self._lanes.get(rep)
             if over:
                 cache: dict[Waveform, list[Violation]] = {}

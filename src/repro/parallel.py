@@ -329,21 +329,13 @@ class _Worker:
 
     def _do_block(self, start, block_cases):
         t0, c0 = time.perf_counter(), time.process_time()
-        # Fold the shipped edits into the engine, like Session.reverify.
+        # Fold the shipped edits into the engine, like Session.reverify:
+        # unique fixed point, so the incremental restart converges to
+        # byte-identical waveforms.
         session = self.session
         engine = session.engine
-        if session._dirty.topology:
-            engine.rebuild_topology()
-        engine.forget_connections(session._dirty.stale_connections)
-        dirty = list(session._dirty.components.values())
-        session._dirty.clear()
         warm = self.converged and bool(engine.values)
-        if warm:
-            # Same path as a serial reverify: unique fixed point, so the
-            # incremental restart converges to byte-identical waveforms.
-            engine.incremental_begin(block_cases[0], dirty)
-        else:
-            engine.initialize(block_cases[0])
+        session._begin(block_cases[0], warm)
         self.converged = False
         xref = list(engine.xref_assumed_stable)
         build_wall = time.perf_counter() - t0
@@ -351,23 +343,18 @@ class _Worker:
 
         t0, c0 = time.perf_counter(), time.process_time()
         reports: list[CheckReport] = []
-        assignments: list[dict[str, int]] = []
         events: list[int] = []
         store: dict[int, dict[str, Waveform]] = {}
-        for i, case in enumerate(block_cases):
-            index = start + i
-            if i > 0:
-                engine.apply_case(case)
-            events.append(engine.run())
-            reports.append(engine.check(case_index=index))
-            assignments.append(dict(case))
+        for index, case_events, report in engine.run_cases(block_cases, start):
+            events.append(case_events)
+            reports.append(report)
             store[index] = engine.snapshot()
         self.snapshots = store
         self.converged = True
         return _BlockResult(
             start=start,
             reports=reports,
-            assignments=assignments,
+            assignments=[dict(case) for case in block_cases],
             events=events,
             xref_assumed_stable=xref,
             stats=engine.stats,

@@ -162,10 +162,17 @@ def fmax_text(res) -> str:
             f"(min period {res.period_ps} ps = {_ns(res.period_ps)} ns) "
             f"[{res.method}]"
         )
-        if res.static_period_ps is not None:
+        t_s = res.static_period_ps
+        if t_s is not None and res.period_ps <= t_s:
             lines.append(
-                f"  static root {res.static_period_ps} ps; engine "
+                f"  static root {t_s} ps; engine "
                 f"confirmed down to {res.period_ps} ps"
+            )
+        elif t_s is not None:
+            lines.append(
+                f"  static root {t_s} ps; the engine violates there on a "
+                f"check the static pass does not model, and is clean from "
+                f"{res.period_ps} ps"
             )
     if res.binding is not None:
         rec = res.binding

@@ -249,51 +249,7 @@ class Session:
         """
         if self._pool is not None:
             return self._verify_pooled()
-        return self._verify_serial()
-
-    def _verify_serial(self) -> VerificationResult:
-        """A full from-scratch verification on the persistent engine."""
-        phases = PhaseTimes()
-
-        t0 = time.perf_counter()
-        warnings = check_structure(self.circuit)
-        self._warnings = warnings
-        engine = self.engine
-        if self._dirty.topology:
-            engine.rebuild_topology()
-        self._dirty.clear()
-        cases = self.circuit.cases or [{}]
-        engine.initialize(cases[0])
-        phases.build = time.perf_counter() - t0
-
-        # Cross-reference generation: in the thesis this lists where every
-        # signal is used; the part that matters to verification is the list
-        # of signals assumed stable for lack of an assertion (section 2.5).
-        t0 = time.perf_counter()
-        xref = list(engine.xref_assumed_stable)
-        phases.cross_reference = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        report = CheckReport()
-        case_results: list[CaseResult] = []
-        for index, case in enumerate(cases):
-            if index > 0:
-                engine.apply_case(case)
-            events = engine.run()
-            report.merge(engine.check(case_index=index))
-            case_results.append(
-                CaseResult(
-                    index=index,
-                    assignments=dict(case),
-                    waveforms=engine.snapshot(),
-                    events=events,
-                )
-            )
-        phases.verify = time.perf_counter() - t0
-
-        result = self._package(report, case_results, xref, warnings, phases)
-        self.runs += 1
-        return result
+        return self._verify_serial(incremental=False)
 
     def reverify(self, prescreen: bool = True) -> IncrementalResult:
         """Re-verify after edits, re-entering the fixed point incrementally.
@@ -309,28 +265,50 @@ class Session:
             return IncrementalResult(result=self.verify(), incremental=False)
 
         pre = self._run_prescreen() if prescreen else None
-
+        # A warm pool reconciles the shipped edits on each worker's engine
+        # through the same incremental path, so it is the incremental run.
         if self._pool is not None:
-            # Warm pooled re-verify: the shipped edits reconcile on each
-            # worker's engine through the same incremental path serial
-            # uses, so the reused pool is the incremental run.
-            return IncrementalResult(
-                result=self._verify_pooled(), incremental=True, prescreen=pre
-            )
+            result = self._verify_pooled()
+        else:
+            result = self._verify_serial(incremental=True)
+        return IncrementalResult(result=result, incremental=True, prescreen=pre)
 
-        phases = PhaseTimes()
-        t0 = time.perf_counter()
-        warnings = self._structure_warnings()
+    def _begin(self, case: dict[str, int], incremental: bool) -> None:
+        """Fold the pending edits into the engine and start a run at ``case``.
+
+        ``incremental`` re-enters the fixed point from the converged state
+        (:meth:`Engine.incremental_begin`, seeded with the dirtied
+        primitives); otherwise every signal starts over.
+        """
         engine = self.engine
         if self._dirty.topology:
             engine.rebuild_topology()
         engine.forget_connections(self._dirty.stale_connections)
-        dirty_comps = list(self._dirty.components.values())
+        dirty = list(self._dirty.components.values())
         self._dirty.clear()
+        if incremental:
+            engine.incremental_begin(case, dirty)
+        else:
+            engine.initialize(case)
+
+    def _verify_serial(self, incremental: bool) -> VerificationResult:
+        """One verification on the persistent engine, from scratch or from
+        the converged state of the last run."""
+        phases = PhaseTimes()
+
+        t0 = time.perf_counter()
+        if incremental:
+            warnings = self._structure_warnings()
+        else:
+            warnings = self._warnings = check_structure(self.circuit)
         cases = self.circuit.cases or [{}]
-        engine.incremental_begin(cases[0], dirty_comps)
+        self._begin(cases[0], incremental)
+        engine = self.engine
         phases.build = time.perf_counter() - t0
 
+        # Cross-reference generation: in the thesis this lists where every
+        # signal is used; the part that matters to verification is the list
+        # of signals assumed stable for lack of an assertion (section 2.5).
         t0 = time.perf_counter()
         xref = list(engine.xref_assumed_stable)
         phases.cross_reference = time.perf_counter() - t0
@@ -338,15 +316,12 @@ class Session:
         t0 = time.perf_counter()
         report = CheckReport()
         case_results: list[CaseResult] = []
-        for index, case in enumerate(cases):
-            if index > 0:
-                engine.apply_case(case)
-            events = engine.run()
-            report.merge(engine.check(case_index=index))
+        for index, events, case_report in engine.run_cases(cases):
+            report.merge(case_report)
             case_results.append(
                 CaseResult(
                     index=index,
-                    assignments=dict(case),
+                    assignments=dict(cases[index]),
                     waveforms=engine.snapshot(),
                     events=events,
                 )
@@ -355,7 +330,7 @@ class Session:
 
         result = self._package(report, case_results, xref, warnings, phases)
         self.runs += 1
-        return IncrementalResult(result=result, incremental=True, prescreen=pre)
+        return result
 
     def _structure_warnings(self) -> list:
         """Cached structural validation for re-verifies.
@@ -506,7 +481,9 @@ class Session:
         return analyze(self.circuit, self.config, constraints=self.constraints)
 
     def fmax(self):
-        """Analytic Fmax (period-affine windows) for the current state."""
+        """Analytic Fmax (period-affine windows) for the current state.
+
+        It probes on an engine of its own; the session's stays as it is."""
         from .sta.parametric import solve_fmax
 
         return solve_fmax(

@@ -42,9 +42,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from ..core.config import VerifyConfig
-from ..core.engine import _SUPPLY
+from ..core.engine import _SUPPLY, Engine
 from ..core.timeline import Timebase, scaled_timebase
-from ..core.violations import ViolationKind
+from ..core.violations import CheckReport, ViolationKind
 from ..netlist.circuit import Circuit, Component, Connection, Net
 from .slack import SlackRecord, compute_slack
 from .windows import IntervalSet, WindowAnalysis, compute_windows, _used_input_conns
@@ -421,14 +421,14 @@ def _param_source_windows(
     circuit: Circuit,
     config: VerifyConfig,
     rep: Net,
-    period: Aff,
+    timebase: ParamTimebase,
     constraints=None,
 ) -> tuple[IntervalSet, IntervalSet]:
     """Affine twin of ``windows._source_windows`` (same signature)."""
+    period = timebase.period_ps
     empty = IntervalSet.empty(period)
     if rep.base_name.upper() in _SUPPLY:
         return empty, empty
-    timebase = circuit.timebase  # the installed ParamTimebase
     assertion = rep.assertion
     if assertion is not None and assertion.kind.is_clock:
         skew = assertion.skew_ps(
@@ -487,10 +487,11 @@ def run_parametric(
 ) -> ParametricRun:
     """Run the window + slack passes with bounds affine in the period.
 
-    The circuit's timebase is swapped for a :class:`ParamTimebase` for the
-    duration (and always restored); the existing passes run unmodified via
-    the ``source_windows`` hook.  Not reentrant — module-level context —
-    which matches every caller (the solvers run passes sequentially).
+    The existing passes run unmodified over a :class:`ParamTimebase`, the
+    circuit's timebase with the period as the symbol ``T``, through the
+    ``source_windows`` hook; the circuit itself is left alone.  Not
+    reentrant — module-level context — which matches every caller (the
+    solvers run passes sequentially).
     """
     global _CTX
     config = config or VerifyConfig()
@@ -501,14 +502,16 @@ def run_parametric(
     region = _Region(sample)
     prev = _CTX
     _CTX = region
-    circuit.timebase = ParamTimebase(base)
     try:
         analysis = compute_windows(
-            circuit, config, constraints, source_windows=_param_source_windows
+            circuit,
+            config,
+            constraints,
+            timebase=ParamTimebase(base),
+            source_windows=_param_source_windows,
         )
         records = compute_slack(circuit, analysis, constraints)
     finally:
-        circuit.timebase = base
         _CTX = prev
     hi = region.hi_int
     lo = region.lo_int
@@ -534,26 +537,10 @@ def _record_key(rec: SlackRecord) -> tuple[str, str, str]:
 # ---------------------------------------------------------------------------
 
 
-class _at_period:
-    """Temporarily rescale a circuit to a trial period (always restored)."""
-
-    def __init__(self, circuit: Circuit, period_ps: int) -> None:
-        self.circuit = circuit
-        self.period_ps = period_ps
-
-    def __enter__(self) -> Circuit:
-        self._saved = self.circuit.timebase
-        self.circuit.timebase = scaled_timebase(self._saved, self.period_ps)
-        return self.circuit
-
-    def __exit__(self, *exc) -> None:
-        self.circuit.timebase = self._saved
-
-
 def _static_records(circuit, config, constraints, period_ps):
-    with _at_period(circuit, period_ps):
-        analysis = compute_windows(circuit, config, constraints)
-        return compute_slack(circuit, analysis, constraints)
+    timebase = scaled_timebase(circuit.timebase, period_ps)
+    analysis = compute_windows(circuit, config, constraints, timebase=timebase)
+    return compute_slack(circuit, analysis, constraints)
 
 
 def _static_ok(records, baseline_overflow) -> bool:
@@ -575,24 +562,29 @@ def _static_ok(records, baseline_overflow) -> bool:
     return True
 
 
-def _engine_probe(circuit, config, constraints, period_ps):
-    """One engine run at ``period_ps``: ``(clean, margins, violations)``,
-    the verdict, every check's signed margin (:attr:`CheckReport.margins`)
-    and each violation in report order, keyed like the margins."""
-    from ..core.verifier import TimingVerifier
+def _engine_probe(circuit, config, constraints):
+    """One engine for a whole search: ``probe(period_ps)`` re-initializes
+    it at that period, runs every case and returns ``(clean, margins,
+    violations)``: the verdict, every check's signed margin
+    (:attr:`CheckReport.margins`) and each violation in report order,
+    keyed like the margins.  Building and levelizing the engine do not
+    depend on the period, so a search pays for them once."""
+    engine = Engine(circuit, config, constraints=constraints)
+    base = circuit.timebase
+    cases = circuit.cases or [{}]
 
-    with _at_period(circuit, period_ps):
-        result = TimingVerifier(
-            circuit, config=config, constraints=constraints
-        ).verify()
-    violations = [
-        (v.component, v.kind, v.signal, v.case_index) for v in result.violations
-    ]
-    return result.ok, result.margins, violations
+    def probe(period_ps: int):
+        engine.initialize(cases[0], scaled_timebase(base, period_ps))
+        report = CheckReport()
+        for _index, _events, case_report in engine.run_cases(cases):
+            report.merge(case_report)
+        violations = [
+            (v.component, v.kind, v.signal, v.case_index)
+            for v in report.violations
+        ]
+        return report.ok, report.margins, violations
 
-
-def _engine_ok(circuit, config, constraints, period_ps) -> bool:
-    return _engine_probe(circuit, config, constraints, period_ps)[0]
+    return probe
 
 
 # ---------------------------------------------------------------------------
@@ -797,19 +789,20 @@ def solve_static_fmax(
             t -= 1
             steps += 1
         if t > 1 and clean(t - 1):
-            # Guess was far high: bisect down (static cleanliness is
-            # monotone up to the rounding wobble the walk above absorbs).
-            lo_v = 1
-            hi_c = t
-            while not clean(lo_v) and hi_c - lo_v > 1:
-                mid = (lo_v + hi_c) // 2
+            # Guess was far high: halve down to a violating floor, then
+            # bisect, as bisect_fmax does.  Clean all the way down ends at
+            # 1 ps: not period-limited (below).  1 ps alone decides
+            # nothing: recovery.scald is static-clean there, violating at
+            # 2 ps and clean again from 21,998 ps.
+            lo_v = t // 2
+            while clean(lo_v):  # clean(0) is False
+                t, lo_v = lo_v, lo_v // 2
+            while t - lo_v > 1:
+                mid = (lo_v + t) // 2
                 if clean(mid):
-                    hi_c = mid
+                    t = mid
                 else:
                     lo_v = mid
-            t = hi_c
-            while t > 1 and clean(t - 1):
-                t -= 1
     else:
         while not clean(t) and steps < _MAX_WALK:
             t += 1
@@ -970,7 +963,7 @@ def _secant_step(probes, slope: Fraction | None) -> int | None:
     """Where the check margins put the engine boundary: the next probe.
 
     ``probes`` maps each period probed so far, in probe order, to its
-    :func:`_engine_probe` result.  Within a region slack is affine
+    :func:`_engine_probe` ``probe`` result.  Within a region slack is affine
     in the period, so each check's margins at the last two probes put a
     secant through its zero; after a single probe the static binding
     slope stands in for every check's.  Margins are whole picoseconds: a
@@ -1133,7 +1126,8 @@ def solve_fmax(
     static = solve_static_fmax(circuit, config, constraints)
     t_s = static.period_ps
     runs = 0
-    probes: dict[int, tuple] = {}  # period -> _engine_probe(...), probe order
+    probe = _engine_probe(circuit, config, constraints)
+    probes: dict[int, tuple] = {}  # period -> probe(period), probe order
 
     def ok(t: int) -> bool:
         """Engine verdict at T=t (memoized; below 1 counts as violating)."""
@@ -1142,7 +1136,7 @@ def solve_fmax(
             return False
         if t not in probes:
             runs += 1
-            probes[t] = _engine_probe(circuit, config, constraints, t)
+            probes[t] = probe(t)
         return probes[t][0]
 
     design = circuit.timebase.period_ps
@@ -1216,6 +1210,7 @@ def bisect_fmax(
     """
     config = config or VerifyConfig()
     runs = 0
+    probe = _engine_probe(circuit, config, constraints)
     ok_memo: dict[int, bool] = {}
 
     def ok(t: int) -> bool:
@@ -1225,7 +1220,7 @@ def bisect_fmax(
         hit = ok_memo.get(t)
         if hit is None:
             runs += 1
-            hit = ok_memo[t] = _engine_ok(circuit, config, constraints, t)
+            hit = ok_memo[t] = probe(t)[0]
         return hit
 
     t0 = circuit.timebase.period_ps
@@ -1325,81 +1320,81 @@ def trace_witness(
     ``cycle`` or ``depth-limit``.
     """
     config = config or VerifyConfig()
-    with _at_period(circuit, period_ps):
-        analysis = compute_windows(circuit, config, constraints)
-        period = analysis.period
+    timebase = scaled_timebase(circuit.timebase, period_ps)
+    analysis = compute_windows(circuit, config, constraints, timebase=timebase)
+    period = analysis.period
 
-        drivers: dict[Net, tuple[Component, list[Connection]]] = {}
-        for comp in circuit.iter_components():
-            if comp.prim.is_checker:
-                continue
-            inputs = [conn for _pin, conn in comp.input_pins()]
-            for _pin, conn in comp.output_pins():
-                drivers[circuit.find(conn.net)] = (comp, inputs)
+    drivers: dict[Net, tuple[Component, list[Connection]]] = {}
+    for comp in circuit.iter_components():
+        if comp.prim.is_checker:
+            continue
+        inputs = [conn for _pin, conn in comp.input_pins()]
+        for _pin, conn in comp.output_pins():
+            drivers[circuit.find(conn.net)] = (comp, inputs)
 
-        feedback_nets = {cut.net for cut in analysis.feedback}
+    feedback_nets = {cut.net for cut in analysis.feedback}
 
-        start = circuit.nets.get(binding.signal)
-        if start is None:
-            return [], "unconstrained"
-        rep = circuit.find(start)
-        hops: list[WitnessHop] = []
-        visited: set[int] = set()
-        terminal = "depth-limit"
-        for _ in range(max_depth):
-            if id(rep) in visited:
-                terminal = "cycle"
-                break
-            visited.add(id(rep))
-            if rep.name in feedback_nets:
-                terminal = "feedback-cut"
-                break
-            entry = drivers.get(rep)
-            if entry is None:
-                # A source: classify how (whether) it is constrained.
-                if rep.base_name.upper() in _SUPPLY:
-                    terminal = "supply"
-                elif rep.assertion is not None:
-                    terminal = (
-                        "clock-assertion"
-                        if rep.assertion.kind.is_clock
-                        else "stable-assertion"
-                    )
-                elif constraints is not None and (
-                    constraints.input_delay_for(rep.name) is not None
-                ):
-                    terminal = "input-delay"
-                else:
-                    terminal = "unconstrained"
-                break
-            comp, inputs = entry
-            if rep.assertion is not None and rep.assertion.kind.is_clock:
-                terminal = "clock-assertion"  # pinned even against a driver
-                break
-            hops.append(
-                WitnessHop(
-                    component=comp.name,
-                    prim=comp.prim.name,
-                    net=rep.name,
-                    delay=comp.delay_ps(),
-                    origin=comp.origin,
+    start = circuit.nets.get(binding.signal)
+    if start is None:
+        return [], "unconstrained"
+    rep = circuit.find(start)
+    hops: list[WitnessHop] = []
+    visited: set[int] = set()
+    terminal = "depth-limit"
+    for _ in range(max_depth):
+        if id(rep) in visited:
+            terminal = "cycle"
+            break
+        visited.add(id(rep))
+        if rep.name in feedback_nets:
+            terminal = "feedback-cut"
+            break
+        entry = drivers.get(rep)
+        if entry is None:
+            # A source: classify how (whether) it is constrained.
+            if rep.base_name.upper() in _SUPPLY:
+                terminal = "supply"
+            elif rep.assertion is not None:
+                terminal = (
+                    "clock-assertion"
+                    if rep.assertion.kind.is_clock
+                    else "stable-assertion"
                 )
-            )
-            out_r, out_f = analysis.of(rep)
-            out_changes = out_r.union(out_f)
-            dmin, dmax = comp.delay_ps()
-            candidates = _used_input_conns(comp, inputs, None)
-            best = None
-            best_score = -1
-            for conn in candidates:
-                in_r, in_f = analysis.prepared(conn)
-                shifted = in_r.union(in_f).shift(dmin, dmax + 1)
-                score = _overlap_measure(shifted, out_changes, period)
-                if score > best_score:
-                    best_score = score
-                    best = conn
-            if best is None:
+            elif constraints is not None and (
+                constraints.input_delay_for(rep.name) is not None
+            ):
+                terminal = "input-delay"
+            else:
                 terminal = "unconstrained"
-                break
-            rep = circuit.find(best.net)
-        return hops, terminal
+            break
+        comp, inputs = entry
+        if rep.assertion is not None and rep.assertion.kind.is_clock:
+            terminal = "clock-assertion"  # pinned even against a driver
+            break
+        hops.append(
+            WitnessHop(
+                component=comp.name,
+                prim=comp.prim.name,
+                net=rep.name,
+                delay=comp.delay_ps(),
+                origin=comp.origin,
+            )
+        )
+        out_r, out_f = analysis.of(rep)
+        out_changes = out_r.union(out_f)
+        dmin, dmax = comp.delay_ps()
+        candidates = _used_input_conns(comp, inputs, None)
+        best = None
+        best_score = -1
+        for conn in candidates:
+            in_r, in_f = analysis.prepared(conn)
+            shifted = in_r.union(in_f).shift(dmin, dmax + 1)
+            score = _overlap_measure(shifted, out_changes, period)
+            if score > best_score:
+                best_score = score
+                best = conn
+        if best is None:
+            terminal = "unconstrained"
+            break
+        rep = circuit.find(best.net)
+    return hops, terminal

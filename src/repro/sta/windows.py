@@ -375,18 +375,19 @@ def _source_windows(
     circuit: Circuit,
     config: VerifyConfig,
     rep: Net,
-    period: int,
+    timebase,
     constraints=None,
 ) -> tuple[IntervalSet, IntervalSet]:
     """Windows of a fixed-source net (supply, assertion, assumed stable)."""
+    period = timebase.period_ps
     if rep.base_name.upper() in _SUPPLY:
         return IntervalSet.empty(period), IntervalSet.empty(period)
     assertion = rep.assertion
     if assertion is not None and assertion.kind.is_clock:
         skew = config.clock_skew_ns(assertion.kind.name == "PRECISION_CLOCK")
-        return waveform_windows(assertion.waveform(circuit.timebase, skew))
+        return waveform_windows(assertion.waveform(timebase, skew))
     if assertion is not None:
-        return waveform_windows(assertion.waveform(circuit.timebase))
+        return waveform_windows(assertion.waveform(timebase))
     if constraints is not None:
         spec = constraints.input_delay_for(rep.name)
         if spec is not None:
@@ -396,7 +397,7 @@ def _source_windows(
             # windows enclose it by construction.
             from ..constraints import input_delay_spans
 
-            spans = input_delay_spans(spec, circuit, config)
+            spans = input_delay_spans(spec, circuit, config, timebase)
             if spans:
                 win = IntervalSet(period, spans)
                 return win, win
@@ -538,21 +539,25 @@ def compute_windows(
     config: VerifyConfig | None = None,
     constraints=None,
     *,
+    timebase=None,
     source_windows=None,
 ) -> WindowAnalysis:
     """One-pass static arrival-window analysis of an expanded circuit.
 
-    ``source_windows`` replaces the fixed-source window builder
-    (:func:`_source_windows`, same signature).  The parametric Fmax pass
-    (``repro.sta.parametric``) injects a builder that yields windows whose
-    bounds are affine in the clock period; everything downstream of the
-    sources — transfers, feedback widening, slack — is plain interval
-    arithmetic and works unchanged over either bound type.
+    ``timebase`` runs the pass at another clock period (the circuit's own
+    by default).  ``source_windows`` replaces the fixed-source window
+    builder (:func:`_source_windows`, same signature).  The parametric
+    Fmax pass (``repro.sta.parametric``) injects a builder that yields
+    windows whose bounds are affine in the clock period, from a timebase
+    whose period is that symbol; everything downstream of the sources —
+    transfers, feedback widening, slack — is plain interval arithmetic
+    and works unchanged over either bound type.
     """
     config = config or VerifyConfig()
     if source_windows is None:
         source_windows = _source_windows
-    period = circuit.period_ps
+    timebase = timebase or circuit.timebase
+    period = timebase.period_ps
     gate_prims = _gate_prims()
 
     # One pass over every component builds all the indexed structure the
@@ -656,7 +661,7 @@ def compute_windows(
         if _is_fixed_source(rep, driven):
             fixed.add(rep)
             analysis.windows[rep] = source_windows(
-                circuit, config, rep, period, constraints
+                circuit, config, rep, timebase, constraints
             )
 
     # Directive letters per gate input (None when certainly absent).

@@ -20,13 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import VerifyConfig
+from repro.core.engine import Engine
+from repro.core.timeline import scaled_timebase
 from repro.core.verifier import TimingVerifier
 from repro.core.violations import ViolationKind
 from repro.sta import analyze
 from repro.sta.parametric import (
     Aff,
     StaticFmax,
-    _at_period,
+    _engine_probe,
     _limiting_check,
     _record_key,
     _slack_form,
@@ -44,12 +46,21 @@ SETUP, HOLD = ViolationKind.SETUP, ViolationKind.HOLD
 MPW_HIGH = ViolationKind.MIN_PULSE_WIDTH_HIGH
 
 
-def _engine_clean(circuit, period_ps, config=None, constraints=None):
-    with _at_period(circuit, period_ps):
-        result = TimingVerifier(
+def _engine_result(circuit, period_ps, config=None, constraints=None):
+    """A full verification of ``circuit`` re-timed to ``period_ps`` here,
+    independently of the library's probe engine (always restored)."""
+    saved = circuit.timebase
+    circuit.timebase = scaled_timebase(saved, period_ps)
+    try:
+        return TimingVerifier(
             circuit, config or VerifyConfig(), constraints=constraints
         ).verify()
-    return result.ok
+    finally:
+        circuit.timebase = saved
+
+
+def _engine_clean(circuit, period_ps, config=None, constraints=None):
+    return _engine_result(circuit, period_ps, config, constraints).ok
 
 
 def _shifter():
@@ -205,6 +216,14 @@ class TestHandDerivedFmax:
         assert not analytic.period_limited and not oracle.period_limited
         assert analytic.period_ps is None and oracle.period_ps is None
 
+    def test_fig_2_6_static_search_is_bounded(self):
+        """Static-clean down to 1 ps: the search halves down from the
+        region walk's guess instead of stepping one picosecond at a time
+        (which took 10,000 static evals)."""
+        static = solve_static_fmax(figures.fig_2_6_case_analysis())
+        assert not static.period_limited and static.period_ps is None
+        assert static.static_evals <= 100
+
     def test_fig_1_5_fails_at_every_period(self):
         """The gated-clock runt pulse can be arbitrarily short at any
         period (ENABLE may change anywhere in its window), so slowing the
@@ -228,6 +247,147 @@ class TestBoundaryIsReal:
         assert res.period_limited and res.period_ps is not None
         assert _engine_clean(circuit, res.period_ps)
         assert not _engine_clean(circuit, res.period_ps - 1)
+
+
+def _shipped(name, sdc):
+    from repro.constraints import load_constraints
+    from repro.hdl.expander import MacroExpander
+
+    path = f"examples/designs/{name}.scald"
+    circuit = MacroExpander.from_file(path).expand()
+    cons = None
+    if sdc:
+        cons = load_constraints(path.replace(".scald", ".sdc"), circuit)
+    return circuit, cons
+
+
+def _input_delay():
+    """A register fed by a port that an SDC input delay says changes 6 to
+    30 ns after each clock rise: its windows move with the probed period
+    through ``input_delay_spans``."""
+    from repro import Circuit
+    from repro.constraints import parse_sdc, resolve
+
+    circuit = Circuit("port", period_ns=50.0, clock_unit_ns=6.25)
+    circuit.reg("Q", "CK .P2-3", "PORT", delay=(1.0, 2.0), name="r")
+    circuit.setup_hold("PORT", "CK .P2-3", setup=2.5, hold=1.5, name="su")
+    commands, _ = parse_sdc(
+        'create_clock -period 50 -name CK "CK .P2-3"\n'
+        "set_input_delay 30 -max -clock CK PORT\n"
+        "set_input_delay 6 -min -clock CK PORT\n"
+    )
+    return circuit, resolve(commands, circuit)
+
+
+def _synth_cases(chips, seed, n_cases):
+    circuit = _synth_circuit(chips, seed)
+    for k in range(n_cases):
+        circuit.add_case_by_name({"MUX CTL .S0-8": k % 2})
+    return circuit
+
+
+_PROBED = [
+    *[
+        (f"{name}{'+sdc' if sdc else ''}", lambda n=name, c=sdc: _shipped(n, c))
+        for name in ("multicycle", "recovery", "shifter")
+        for sdc in (False, True)
+    ],
+    ("fig_2_5", lambda: (figures.fig_2_5_register_file(), None)),
+    ("fig_3_12", lambda: (figures.fig_3_12_alu_datapath(), None)),
+    ("pulse_width", lambda: (_pulse_width(), None)),
+    ("input_delay", _input_delay),
+    ("synth60x4", lambda: (_synth_cases(60, 1, 4), None)),
+]
+
+
+class TestProbeEngine:
+    """One engine serves a whole search, re-initialized at each period;
+    each probe must equal a from-scratch verification of the circuit
+    re-timed to that period, whatever periods came before it."""
+
+    @pytest.mark.parametrize(
+        "builder", [b for _, b in _PROBED], ids=[n for n, _ in _PROBED]
+    )
+    def test_probe_equals_reference(self, builder):
+        circuit, cons = builder()
+        res = solve_fmax(circuit, constraints=cons)
+        periods = {circuit.timebase.period_ps, res.static_period_ps}
+        if res.period_ps is not None:
+            periods |= {res.period_ps, res.period_ps - 1}
+        periods.discard(None)
+        descending = sorted(periods, reverse=True)
+        # The lowest period is probed twice in a row, every period twice.
+        order = descending + descending[::-1]
+        probe = _engine_probe(circuit, VerifyConfig(), cons)
+        for period in order:
+            ref = _engine_result(circuit, period, constraints=cons)
+            expected = (
+                ref.ok,
+                ref.margins,
+                [
+                    (v.component, v.kind, v.signal, v.case_index)
+                    for v in ref.violations
+                ],
+            )
+            assert probe(period) == expected, period
+
+
+class TestFmaxLeavesSessionAlone:
+    """``Session.fmax()`` probes on its own engine: the session's circuit
+    keeps its timebase, no structure check or summary listing runs, and
+    the next re-verify stays incremental and byte-identical."""
+
+    def test_reverify_after_fmax(self, monkeypatch):
+        from repro import session as session_mod
+        from repro.incremental import WireDelayEdit
+        from repro.reporting import listing
+        from repro.session import Session
+
+        edit = WireDelayEdit("MUX CTL .S0-8", (0.0, 2.0))
+        twin = Session(_synth_cases(60, 1, 4))
+        twin.verify()
+        twin.edit(edit)
+        expected = twin.reverify(prescreen=False)
+
+        session = Session(_synth_cases(60, 1, 4))
+        session.verify()
+        session.edit(edit)
+        timebase = session.circuit.timebase
+        calls = {"timing_summary": 0, "check_structure": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        with monkeypatch.context() as m:
+            m.setattr(
+                listing,
+                "timing_summary",
+                counting("timing_summary", listing.timing_summary),
+            )
+            m.setattr(
+                session_mod,
+                "check_structure",
+                counting("check_structure", session_mod.check_structure),
+            )
+            assert session.fmax().period_ps is not None
+        assert calls == {"timing_summary": 0, "check_structure": 0}
+        assert session.circuit.timebase is timebase
+
+        got = session.reverify(prescreen=False)
+        assert got.incremental and expected.incremental
+        assert (
+            got.result.stats.dirty_primitives
+            == expected.result.stats.dirty_primitives
+        )
+        assert got.result.error_listing() == expected.result.error_listing()
+        for case in range(len(expected.result.cases)):
+            assert got.result.summary_listing(
+                case=case
+            ) == expected.result.summary_listing(case=case)
 
 
 class TestProbeBudget:
@@ -254,11 +414,10 @@ class TestProbeBudget:
         is clean at Fmax; the check named is the one the engine fails."""
         circuit = generate(SynthConfig(chips=120, seed=7)).circuit()[0]
         res = solve_fmax(circuit)
-        with _at_period(circuit, res.period_ps - 1):
-            failing = {
-                (v.component, v.signal)
-                for v in TimingVerifier(circuit).verify().violations
-            }
+        failing = {
+            (v.component, v.signal)
+            for v in _engine_result(circuit, res.period_ps - 1).violations
+        }
         assert (res.binding.component, res.binding.signal) in failing
 
     @pytest.mark.parametrize(
@@ -283,7 +442,8 @@ class TestProbeBudget:
 
 class TestEngineRunsCounted:
     """``engine_runs`` is every engine run the search made, attribution
-    included: no verification happens off the books."""
+    included: no verification happens off the books.  Every engine run
+    starts at :meth:`Engine.initialize`."""
 
     @pytest.mark.parametrize(
         "builder",
@@ -298,13 +458,13 @@ class TestEngineRunsCounted:
     def test_verify_calls_equal_engine_runs(self, builder, monkeypatch):
         circuit = builder()
         calls = []
-        verify = TimingVerifier.verify
+        initialize = Engine.initialize
 
         def counted(self, *args, **kwargs):
             calls.append(1)
-            return verify(self, *args, **kwargs)
+            return initialize(self, *args, **kwargs)
 
-        monkeypatch.setattr(TimingVerifier, "verify", counted)
+        monkeypatch.setattr(Engine, "initialize", counted)
         res = solve_fmax(circuit)
         assert res.method == "anchored"
         assert len(calls) == res.engine_runs
@@ -337,6 +497,20 @@ class TestStartAboveStaticRoot:
         assert (
             "binding check: mpw on 'CK .P2-3' [min-pulse-width-high]" in out
         )
+
+    def test_scald_sta_says_the_engine_violates_at_the_static_root(
+        self, capsys
+    ):
+        """Fmax above T_s is not an engine confirmation below it."""
+        from repro.sta.cli import main
+
+        assert main([PULSE_WIDTH, "--fmax"]) == 0
+        out = capsys.readouterr().out
+        assert "confirmed down to" not in out
+        assert (
+            "static root 21998 ps; the engine violates there on a check "
+            "the static pass does not model, and is clean from 39994 ps"
+        ) in out
 
 
 class TestSoundnessAssertion:

@@ -139,24 +139,35 @@ echo "== Fmax gate: engine clean at Fmax, violating one picosecond below =="
 # away from a clean static root: Fig. 2-5 has none, Fig. 3-12's limiting
 # check (an assertion mismatch) files no margin, and the pulse-width
 # fixture's engine fails at the static root on a check with no static twin.
+# The search passes the period as an argument: the circuit's timebase must
+# be the same object afterwards.  Fig. 2-6 is static-clean down to 1 ps,
+# and the static search must say so in a bounded number of static evals.
 python - <<'EOF'
 from pathlib import Path
 
+from repro.core.timeline import scaled_timebase
 from repro.core.verifier import TimingVerifier
 from repro.hdl.expander import MacroExpander
 from repro.constraints import load_constraints
-from repro.sta.parametric import _at_period, solve_fmax
+from repro.sta.parametric import solve_fmax, solve_static_fmax
 from repro.workloads import figures
 from repro.workloads.synth import SynthConfig, generate
 
 
 def engine_run(circuit, constraints, period_ps):
-    with _at_period(circuit, period_ps):
+    """A full verification with the circuit re-timed here (restored)."""
+    saved = circuit.timebase
+    circuit.timebase = scaled_timebase(saved, period_ps)
+    try:
         return TimingVerifier(circuit, constraints=constraints).verify()
+    finally:
+        circuit.timebase = saved
 
 
 def gate(name, circuit, constraints=None):
+    timebase = circuit.timebase
     res = solve_fmax(circuit, constraints=constraints)
+    assert circuit.timebase is timebase, (name, "solve_fmax re-timed the circuit")
     if not res.period_limited or res.period_ps is None:
         why = "not period-limited" if not res.period_limited else "no clean period"
         print(f"ok: {name} ({why}; {res.engine_runs} engine runs)")
@@ -186,6 +197,12 @@ for name in ("fig_2_5_register_file", "fig_3_12_alu_datapath"):
     gate(name, getattr(figures, name)())
 fixture = "tests/fixtures/pulse_width.scald"
 gate(fixture, MacroExpander.from_file(fixture).expand())
+
+static = solve_static_fmax(figures.fig_2_6_case_analysis())
+assert not static.period_limited, static
+assert static.static_evals <= 100, static.static_evals
+print(f"ok: fig_2_6_case_analysis not period-limited "
+      f"({static.static_evals} static evals)")
 EOF
 
 echo
