@@ -27,6 +27,7 @@ byte-identical to a from-scratch run — and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Mapping
 
 from .hdl import parse_signal_name
@@ -50,6 +51,7 @@ __all__ = [
     "WireDelayEdit",
     "apply_edit",
     "assert_incremental_equivalent",
+    "assert_static_equivalent",
     "edit_from_doc",
     "edit_to_doc",
 ]
@@ -450,6 +452,46 @@ def assert_incremental_equivalent(session, prescreen: bool = False):
         session.circuit, session.config, constraints=session.constraints
     ).verify()
     _assert_results_match(inc.result, scratch)
+    return inc
+
+
+def assert_static_equivalent(session):
+    """Prescreen-reverify ``session`` and police its held static analysis.
+
+    Runs :meth:`Session.reverify` with the prescreen on a verified
+    session, which brings the session's held static analysis up to date
+    from the edits since its last prescreen, and compares that analysis
+    with a fresh :func:`repro.sta.analyze` of the same edited circuit:
+    every net's windows, the feedback cuts, the clock domains (roots,
+    storage, crossings, per-net root and launch sets), the slack list in
+    order, and every :class:`~repro.session.Prescreen` field but
+    ``seconds``.  Returns the reverify result.
+    """
+    from .session import Prescreen
+    from .sta import analyze
+
+    inc = session.reverify(prescreen=True)
+    if inc.prescreen is None:
+        raise AssertionError("the session had not verified: no prescreen ran")
+    held = session._static
+    fresh = analyze(session.circuit, session.config, constraints=session.constraints)
+
+    def same(label: str, got, want) -> None:
+        if got != want:
+            raise AssertionError(
+                f"held static {label} diverges from a fresh analysis:\n"
+                f"  held:  {got!r}\n  fresh: {want!r}"
+            )
+
+    same("window count", len(held.windows.windows), len(fresh.windows.windows))
+    for rep, want in fresh.windows.windows.items():
+        same(f"windows of {rep.name!r}", held.windows.windows.get(rep), want)
+    same("feedback cuts", held.windows.feedback, fresh.windows.feedback)
+    for attr in ("roots", "storage", "crossings", "net_roots", "net_launch"):
+        same(f"domains.{attr}", getattr(held.domains, attr), getattr(fresh.domains, attr))
+    for i, (got, want) in enumerate(zip_longest(held.slack, fresh.slack)):
+        same(f"slack record {i}", got, want)
+    same("prescreen", inc.prescreen, Prescreen.of(fresh, inc.prescreen.seconds))
     return inc
 
 

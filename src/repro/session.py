@@ -13,16 +13,22 @@ state explicitly and keeps it alive across runs:
   schedule,
 * one session-owned :class:`~repro.core.waveform.InternTable`, so
   cross-run hash-consing is deterministic instead of riding on the
-  garbage collector's treatment of a process-global weak table.
+  garbage collector's treatment of a process-global weak table,
+* once the first prescreen has run, one held
+  :class:`~repro.sta.StaAnalysis` (windows, domains, slack), brought up
+  to date from each later batch of timing edits.
 
 :meth:`Session.verify` is a full run (and :class:`TimingVerifier` is now
 a thin wrapper that makes a one-shot session); :meth:`Session.reverify`
 re-enters the fixed point from the converged state, seeding the worklist
-from the edits' dirty cone and reusing every unchanged stored waveform —
-with the static windows pass (~15x cheaper, ``BENCH_sta.json``) as an
-optional instant pre-screen before the engine renders the authoritative
-verdict.  Byte-identity with a from-scratch run is the correctness gate
-(:func:`repro.incremental.assert_incremental_equivalent`).
+from the edits' dirty cone and reusing every unchanged stored waveform.
+By default it first runs the static prescreen, an instant conservative
+verdict ahead of the engine's authoritative one; the held analysis
+re-sweeps only the cone of nets whose windows the edits actually change.
+Byte-identity with a from-scratch run is the correctness gate for the
+engine (:func:`repro.incremental.assert_incremental_equivalent`), and
+equality with a fresh :func:`repro.sta.analyze` the gate for the held
+analysis (:func:`repro.incremental.assert_static_equivalent`).
 """
 
 from __future__ import annotations
@@ -39,7 +45,13 @@ from .core.verifier import (
 )
 from .core.violations import CheckReport
 from .core.waveform import InternTable
-from .incremental import ConstraintsEdit, Edit, PendingDirty
+from .incremental import (
+    ConstraintsEdit,
+    Edit,
+    ParamEdit,
+    PendingDirty,
+    WireDelayEdit,
+)
 from .netlist.circuit import Circuit
 from .netlist.validate import check as check_structure
 
@@ -54,9 +66,10 @@ class Prescreen:
     slack implies an engine-clean check, not the reverse); the engine
     result carried alongside is always the authority.  A check whose
     static window overflowed the period (or whose clock has no static
-    edge) yields no slack claim at all; any such ``indeterminate`` check
-    forces ``ok=False`` — declaring "clean" on no evidence would be the
-    optimism the value algebra forbids.
+    edge) yields no slack claim at all, and some engine checks have no
+    static twin (``StaAnalysis.indeterminate``); any such
+    ``indeterminate`` check forces ``ok=False`` — declaring "clean" on no
+    evidence would be the optimism the value algebra forbids.
     """
 
     ok: bool
@@ -64,6 +77,23 @@ class Prescreen:
     cdc_errors: int
     indeterminate: int
     seconds: float
+
+    @classmethod
+    def of(cls, analysis, seconds: float) -> "Prescreen":
+        """The verdict of one :class:`repro.sta.StaAnalysis`."""
+        worst = min(
+            (r.slack_ps for r in analysis.slack if r.slack_ps is not None),
+            default=None,
+        )
+        cdc = len(analysis.cdc_errors)
+        indeterminate = analysis.indeterminate()
+        return cls(
+            ok=analysis.ok and not cdc and not indeterminate,
+            worst_slack_ps=worst,
+            cdc_errors=cdc,
+            indeterminate=indeterminate,
+            seconds=seconds,
+        )
 
 
 @dataclass
@@ -118,6 +148,11 @@ class Session:
         self._engine: Engine | None = None
         self._dirty = PendingDirty()
         self._warnings: list | None = None
+        #: The prescreen's held static analysis and the timing edits made
+        #: since it was last brought up to date (see :meth:`_note_static`).
+        self._static = None
+        self._static_nets: set = set()
+        self._static_params: dict = {}
         #: Total verification runs (full + incremental) this session served.
         self.runs = 0
         #: Requested parallelism.  With more than one case block to shard
@@ -214,6 +249,7 @@ class Session:
                 else:
                     e.apply(self.circuit, self._dirty)
                 applied += 1
+                self._note_static(e)
         finally:
             if self._pool is not None and applied:
                 # Workers reconcile lazily too: the typed edits travel over
@@ -223,6 +259,29 @@ class Session:
                 # the workers' circuits stay the parent's.
                 self._pool.queue_edits(edits[:applied])
         return self
+
+    def _note_static(self, edit: Edit) -> None:
+        """Record one applied edit's dirt for the held static analysis.
+
+        Taken from the edit itself, not from :class:`PendingDirty`, which
+        drops checkers and is cleared by every engine run.  A wire-delay
+        edit records its net and a parameter edit its component; any
+        other edit changes topology, fixed sources or constraints, so the
+        held analysis is dropped and the next prescreen rebuilds it.
+        Nothing is recorded while no analysis is held.
+        """
+        if self._static is None:
+            return
+        if isinstance(edit, WireDelayEdit):
+            self._static_nets.add(self.circuit.find(self.circuit.nets[edit.net]))
+        elif isinstance(edit, ParamEdit):
+            self._static_params[edit.component] = self.circuit.components[
+                edit.component
+            ]
+        else:
+            self._static = None
+            self._static_nets.clear()
+            self._static_params.clear()
 
     def close(self) -> None:
         """Release the worker pool, if any; the session stays usable.
@@ -257,9 +316,14 @@ class Session:
         Reuses every stored waveform outside the edits' dirty cone; the
         worklist starts from the directly dirtied primitives and event
         propagation walks the rest.  With ``prescreen=True`` the static
-        windows pass runs first and its verdict is attached to the result
-        (the engine remains the authority either way).  Falls back to a
-        full :meth:`verify` when the session has not verified yet.
+        passes run first and their verdict is attached to the result (the
+        engine remains the authority either way).  The first prescreen
+        runs :func:`repro.sta.analyze`; later ones update the held
+        analysis from the wire-delay and parameter edits made since, and
+        rebuild it after a reconnect, assertion or constraints edit.  A
+        reverify without the prescreen, or a :meth:`verify`, keeps those
+        edits for the next prescreen.  Falls back to a full :meth:`verify`
+        when the session has not verified yet.
         """
         if self.runs == 0:
             return IncrementalResult(result=self.verify(), incremental=False)
@@ -348,27 +412,27 @@ class Session:
         return self._warnings
 
     def _run_prescreen(self) -> Prescreen:
-        """The static windows pass as an instant advisory verdict."""
-        t0 = time.perf_counter()
-        from .sta import analyze
+        """The static passes as an instant advisory verdict.
 
-        analysis = analyze(
-            self.circuit, self.config, constraints=self.constraints
-        )
-        worst = min(
-            (r.slack_ps for r in analysis.slack if r.slack_ps is not None),
-            default=None,
-        )
-        indeterminate = sum(
-            1 for r in analysis.slack if r.slack_ps is None and not r.waived
-        )
-        return Prescreen(
-            ok=analysis.ok and not analysis.cdc_errors and not indeterminate,
-            worst_slack_ps=worst,
-            cdc_errors=len(analysis.cdc_errors),
-            indeterminate=indeterminate,
-            seconds=time.perf_counter() - t0,
-        )
+        The first prescreen runs :func:`repro.sta.analyze` and the session
+        keeps the result; each later one brings it up to date from the
+        static dirt :meth:`edit` recorded since (:meth:`StaAnalysis.update`
+        re-sweeps only the edits' cone).
+        """
+        t0 = time.perf_counter()
+        if self._static is None:
+            from .sta import analyze
+
+            self._static = analyze(
+                self.circuit, self.config, constraints=self.constraints
+            )
+        else:
+            held, self._static = self._static, None  # dropped if it raises
+            held.update(self._static_nets, self._static_params.values())
+            self._static = held
+        self._static_nets.clear()
+        self._static_params.clear()
+        return Prescreen.of(self._static, time.perf_counter() - t0)
 
     def _package(
         self,

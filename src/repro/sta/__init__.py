@@ -16,15 +16,18 @@ that bound every net's behaviour without running the fixed point.
   confirmation, with an independent engine-bisection oracle.
 
 :func:`analyze` bundles the three static passes into one result, sharing
-the window computation they all feed from.
+the window computation they all feed from; :meth:`StaAnalysis.update`
+brings that result up to date after timing edits by re-sweeping only
+the edits' cone (the session's prescreen keeps one across edits).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from ..core.config import VerifyConfig
-from ..netlist.circuit import Circuit
+from ..netlist.circuit import Circuit, Component, Net
 from .crosscheck import (
     CrosscheckResult,
     EnclosureFailure,
@@ -40,8 +43,22 @@ from .parametric import (
     solve_fmax,
     solve_static_fmax,
 )
-from .slack import SlackRecord, compute_slack
-from .windows import FeedbackCut, IntervalSet, WindowAnalysis, compute_windows, waveform_windows
+from .slack import (
+    SlackRecord,
+    _output_slack_all,
+    component_records,
+    compute_slack,
+    record_slots,
+    sorted_records,
+)
+from .windows import (
+    _ASSUME,
+    FeedbackCut,
+    IntervalSet,
+    WindowAnalysis,
+    compute_windows,
+    waveform_windows,
+)
 
 __all__ = [
     "ClockRoot",
@@ -81,6 +98,9 @@ class StaAnalysis:
     slack: list[SlackRecord] = field(default_factory=list)
     #: Resolved SDC constraints the passes honoured (None = unconstrained).
     constraints: object | None = None
+    #: The records of ``slack`` grouped by filer (``slack.record_slots``).
+    _slots: list = field(default_factory=list, repr=False)
+    _unmatched: int | None = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -92,6 +112,115 @@ class StaAnalysis:
         """Clock-domain crossings that do not look synchronized."""
         return [c for c in self.domains.crossings if not c.synchronized]
 
+    def indeterminate(self) -> int:
+        """Engine checks on which the static passes make no claim.
+
+        A record whose clock has no static edge, or whose windows
+        overflowed the period, claims no slack.  (A waived record and a
+        latch's borrow report without a ``set_max_time_borrow`` cap are
+        not checks the engine makes.)  Engine checks with no static twin
+        count as well: every minimum-pulse-width checker, every gate whose
+        directive letter is or may be A or H (gating stability), and —
+        under ``check_assertions`` — every driven net with a stable
+        assertion.  Those depend on topology only and are counted once.
+        """
+        cons = self.constraints
+        count = 0
+        for r in self.slack:
+            if not (r.no_edge or r.overflow) or r.waived:
+                continue
+            if r.kind == "borrow" and (
+                cons is None or cons.borrow_for(r.component) is None
+            ):
+                continue
+            count += 1
+        if self._unmatched is None:
+            self._unmatched = _unmatched_checks(self.windows)
+        return count + self._unmatched
+
+    def update(
+        self, nets: Iterable[Net], components: Iterable[Component]
+    ) -> set[Net]:
+        """Bring all three passes up to date after timing edits.
+
+        ``nets`` are representatives whose wire delay changed and
+        ``components`` those whose parameters changed; the windows
+        re-sweep only their cone (:meth:`WindowAnalysis.update`).  Slack
+        records are rebuilt for every component that reads a net whose
+        windows or wire delay moved, every edited component, and every
+        output-delay spec whose net or clock changed, then re-sorted with
+        :func:`compute_slack`'s stable key.  Domain inference reads the
+        windows only for storage without a clock root, so it re-runs only
+        when such a clock net changed.  The result equals a fresh
+        :func:`analyze` of the edited circuit.  Returns the nets whose
+        windows changed.
+        """
+        nets = set(nets)
+        components = list(components)
+        windows = self.windows
+        changed = windows.update(nets, components)
+        readers = windows.readers()
+        dirty = {comp.name for comp in components}
+        for rep in changed | nets:
+            dirty.update(comp.name for _conn, comp, _j in readers.get(rep, ()))
+        find, named = self.circuit.find, self.circuit.nets
+        rebuilt = False
+        for slot in self._slots:
+            key, records = slot
+            if isinstance(key, Component):
+                if key.name not in dirty:
+                    continue
+                slot[1] = component_records(key, windows, self.constraints)
+            elif any(
+                find(named[name]) in changed
+                for r in records
+                for name in (r.signal, r.clock)
+            ):
+                slot[1] = _output_slack_all(key, windows)
+            else:
+                continue
+            rebuilt = True
+        if rebuilt:
+            self.slack = sorted_records(self._slots)
+        rootless = {
+            find(named[s.clock_net])
+            for s in self.domains.storage
+            if not s.roots
+        }
+        if rootless & changed:
+            self.domains = infer_domains(self.circuit, windows)
+        return changed
+
+
+def _unmatched_checks(windows: WindowAnalysis) -> int:
+    """Engine checks with no static slack twin (see ``indeterminate``)."""
+    circuit = windows.circuit
+    sweep = windows._sweep
+    count = sum(
+        1 for c in circuit.iter_components() if c.prim.name == "MIN_PULSE_WIDTH"
+    )
+    # A letter rides in on a waveform only from the tail of a directive
+    # string written at some gate input.
+    riding = set().union(
+        *(conn.directives[1:] for row in sweep.inputs for conn in row)
+    )
+    may_assume = bool(riding & _ASSUME)
+    for letters in sweep.letters:
+        if letters is not None and any(
+            letter in _ASSUME if certain else may_assume
+            for letter, certain in letters
+        ):
+            count += 1
+    if windows.config.check_assertions:
+        count += sum(
+            1
+            for rep in circuit.representatives()
+            if rep.assertion is not None
+            and not rep.assertion.kind.is_clock
+            and rep in sweep.drivers
+        )
+    return count
+
 
 def analyze(
     circuit: Circuit,
@@ -100,10 +229,12 @@ def analyze(
 ) -> StaAnalysis:
     """Run window propagation, domain inference and slack in one pass."""
     windows = compute_windows(circuit, config, constraints=constraints)
+    slots = record_slots(circuit, windows, constraints)
     return StaAnalysis(
         circuit=circuit,
         windows=windows,
         domains=infer_domains(circuit, windows),
-        slack=compute_slack(circuit, windows, constraints=constraints),
+        slack=sorted_records(slots),
         constraints=constraints,
+        _slots=slots,
     )

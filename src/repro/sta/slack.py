@@ -28,6 +28,8 @@ from ..netlist.circuit import Circuit, Component
 from .windows import WindowAnalysis
 
 _CHECKERS = frozenset({"SETUP_HOLD_CHK", "SETUP_RISE_HOLD_FALL_CHK"})
+#: Primitives that can file a record (see :func:`component_records`).
+_FILERS = _CHECKERS | {"REG_RS", "LATCH", "LATCH_RS"}
 
 
 @dataclass(frozen=True)
@@ -76,31 +78,62 @@ def compute_slack(
     false-path waivers, recovery/removal records and output-delay records —
     each mirroring the engine check that consumes the same constraint.
     """
-    records: list[SlackRecord] = []
+    return sorted_records(record_slots(circuit, analysis, constraints))
+
+
+def record_slots(
+    circuit: Circuit, analysis: WindowAnalysis, constraints=None
+) -> list[list]:
+    """The records of :func:`compute_slack` grouped by what files them.
+
+    One ``[component, records]`` slot per component that can file a
+    record, in iteration order, then one ``[spec, records]`` slot per
+    ``set_output_delay`` spec.  :meth:`repro.sta.StaAnalysis.update`
+    rebuilds single slots in place with the same builders.
+    """
+    slots: list[list] = []
     for comp in circuit.iter_components():
-        prim = comp.prim.name
-        if prim in _CHECKERS:
-            mods = (
-                constraints.mods_for(comp.name)
-                if constraints is not None
-                else None
-            )
-            records.append(_checker_slack(comp, analysis, mods))
-        if prim in ("REG_RS", "LATCH_RS") and constraints is not None:
-            spec = constraints.rs_for(comp.name)
-            if spec is not None:
-                records.extend(_rs_slack(comp, analysis, spec))
-        if prim in ("LATCH", "LATCH_RS"):
-            borrow_cap = (
-                constraints.borrow_for(comp.name)
-                if constraints is not None
-                else None
-            )
-            records.append(_borrow_slack(comp, analysis, borrow_cap))
+        if comp.prim.name in _FILERS:
+            slots.append([comp, component_records(comp, analysis, constraints)])
     if constraints is not None:
         for spec in constraints.output_delays:
-            records.extend(_output_slack_all(spec, analysis))
+            slots.append([spec, _output_slack_all(spec, analysis)])
+    return slots
+
+
+def sorted_records(slots: list[list]) -> list[SlackRecord]:
+    """Flatten slots in order and sort stably, worst slack first."""
+    records = [r for _key, recs in slots for r in recs]
     records.sort(key=lambda r: (r.slack_ps is None, r.slack_ps or 0, r.component))
+    return records
+
+
+def component_records(
+    comp: Component, analysis: WindowAnalysis, constraints=None
+) -> list[SlackRecord]:
+    """Every record one component files: its checker record, recovery/
+    removal records under a ``set_recovery``/``set_removal`` spec, and a
+    latch's borrow record."""
+    prim = comp.prim.name
+    records: list[SlackRecord] = []
+    if prim in _CHECKERS:
+        mods = (
+            constraints.mods_for(comp.name)
+            if constraints is not None
+            else None
+        )
+        records.append(_checker_slack(comp, analysis, mods))
+    if prim in ("REG_RS", "LATCH_RS") and constraints is not None:
+        spec = constraints.rs_for(comp.name)
+        if spec is not None:
+            records.extend(_rs_slack(comp, analysis, spec))
+    if prim in ("LATCH", "LATCH_RS"):
+        borrow_cap = (
+            constraints.borrow_for(comp.name)
+            if constraints is not None
+            else None
+        )
+        records.append(_borrow_slack(comp, analysis, borrow_cap))
     return records
 
 

@@ -19,6 +19,7 @@ superset of the corresponding model in ``core/models.py``.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -259,6 +260,38 @@ class FeedbackCut:
     origin: tuple[str, int] | None = None
 
 
+@dataclass(eq=False)
+class _Sweep:
+    """The indexed structure of one sweep, kept for :meth:`WindowAnalysis.update`.
+
+    Lists are indexed by component (checkers excluded, iteration order);
+    ``order`` is the topological sweep order and ``multi`` lists every
+    driver of a net that has more than one.  ``outs`` holds each
+    component's last transfer result, so a multi-driven net can be
+    re-unioned when one of its drivers changes.
+    """
+
+    comps: list[Component]
+    inputs: list[list[Connection]]
+    out_reps: list[list[Net]]
+    kinds: list[int]
+    letters: list[list[tuple[str, bool]] | None]
+    succ: list[list[int]]
+    order: list[int]
+    widened: set[int]
+    fixed: set[Net]
+    drivers: dict[Net, tuple[Component, str]]
+    case_values: dict[Net, set[Value]]
+    multi: dict[Net, list[int]]
+    outs: list
+    #: Built on first use by ``WindowAnalysis.readers``: the sweep
+    #: position of each component, component name -> index, and
+    #: representative -> its readers.
+    pos: list[int] | None = None
+    index: dict[str, int] | None = None
+    readers: dict[Net, list[tuple[Connection, Component, int]]] | None = None
+
+
 @dataclass
 class WindowAnalysis:
     """Per-net static arrival windows for one circuit."""
@@ -338,6 +371,113 @@ class WindowAnalysis:
     _rep_of: dict = field(default_factory=dict, repr=False)
     _default_wire: tuple[int, int] | None = field(default=None, repr=False)
     _per_load: int | None = field(default=None, repr=False)
+    _sweep: _Sweep | None = field(default=None, repr=False)
+
+    def _step(self, i: int, memo: dict) -> list[Net]:
+        """Transfer component ``i`` and store its outputs.
+
+        The one loop body of the full sweep and of :meth:`update`.
+        Returns the nets whose stored windows changed.
+        """
+        sweep = self._sweep
+        out = _transfer(
+            sweep.comps[i], sweep.kinds[i], sweep.inputs[i], sweep.letters[i],
+            self, self.circuit, sweep.case_values, sweep.drivers, self.period,
+            memo,
+        )
+        sweep.outs[i] = out
+        windows = self.windows
+        changed = []
+        for rep in sweep.out_reps[i]:
+            if rep in sweep.fixed:
+                continue
+            new = out
+            group = sweep.multi.get(rep)
+            if group is not None:
+                # Multiple drivers (a lint error in itself): keep the union.
+                rises, falls = zip(
+                    *(sweep.outs[k] for k in group if sweep.outs[k] is not None)
+                )
+                new = (rises[0].union(*rises[1:]), falls[0].union(*falls[1:]))
+            if windows.get(rep) != new:
+                windows[rep] = new
+                changed.append(rep)
+        return changed
+
+    def update(
+        self, nets: Iterable[Net], components: Iterable[Component]
+    ) -> set[Net]:
+        """Bring the windows up to date after timing edits to the circuit.
+
+        ``nets`` are representatives whose wire delay changed and
+        ``components`` those whose parameters changed; the topology,
+        assertions, cases and constraints must be the ones this analysis
+        was built on.  Only the cone re-sweeps, in topological order, and a
+        component's readers are revisited only when one of its outputs
+        really changed — the engine's rule for stored waveforms.  The
+        result equals a fresh :func:`compute_windows` on the edited
+        circuit.  Returns the nets whose stored windows changed.
+        """
+        sweep = self._sweep
+        readers = self.readers()
+        heap: list[int] = []
+        queued: set[int] = set()
+
+        def push(j: int) -> None:
+            p = sweep.pos[j]
+            if p not in queued:
+                queued.add(p)
+                heapq.heappush(heap, p)
+
+        def purge(rep: Net) -> None:
+            self._rep_prepared.pop(id(rep), None)
+            for conn, _comp, _j in readers.get(rep, ()):
+                self._prepared_cache.pop(id(conn), None)
+                self._prepared_zero.pop(id(conn), None)
+
+        for rep in nets:
+            purge(rep)
+            for _conn, _comp, j in readers.get(rep, ()):
+                if j >= 0:
+                    push(j)
+        for comp in components:
+            j = sweep.index.get(comp.name)
+            if j is not None:
+                push(j)
+
+        changed: set[Net] = set()
+        memo: dict = {}  # per update, so a long session never grows it
+        while heap:
+            i = sweep.order[heapq.heappop(heap)]
+            if i in sweep.widened or sweep.kinds[i] < 0:
+                continue
+            moved = self._step(i, memo)
+            if moved:
+                for rep in moved:
+                    changed.add(rep)
+                    purge(rep)
+                for j in sweep.succ[i]:
+                    push(j)
+        return changed
+
+    def readers(self) -> dict[Net, list[tuple[Connection, Component, int]]]:
+        """Each representative's readers as ``(connection, component, sweep
+        index or -1)``; built on first use, with the rest of the update
+        index, so a one-off analysis never pays for it."""
+        sweep = self._sweep
+        if sweep.readers is None:
+            sweep.pos = [0] * len(sweep.order)
+            for p, i in enumerate(sweep.order):
+                sweep.pos[i] = p
+            sweep.index = {comp.name: j for j, comp in enumerate(sweep.comps)}
+            readers: dict[Net, list[tuple[Connection, Component, int]]] = {}
+            find = self.circuit.find
+            for comp in self.circuit.iter_components():
+                j = sweep.index.get(comp.name, -1)
+                for _pin, conn in comp.input_pins():
+                    readers.setdefault(find(conn.net), []).append((conn, comp, j))
+            sweep.readers = readers
+        return sweep.readers
 
     def _wire_delay(self, conn: Connection, rep: Net) -> tuple[int, int]:
         # Mirrors Engine._wire_delay exactly; the config-derived defaults
@@ -565,6 +705,7 @@ def compute_windows(
     # per-component input lists and output representatives.
     drivers: dict[Net, tuple[Component, str]] = {}
     driver_idx: dict[Net, int] = {}
+    multi: dict[Net, list[int]] = {}
     loads: dict[Net, int] = {}
     rep_of: dict[int, Net] = {}
     find = circuit.find
@@ -602,6 +743,8 @@ def compute_windows(
             rep_of[id(conn)] = rep
             drivers[rep] = (comp, pin)
             if not checker:
+                if rep in driver_idx:
+                    multi.setdefault(rep, [driver_idx[rep]]).append(j)
                 driver_idx[rep] = j
                 out_reps.append(rep)
         inputs = []
@@ -682,6 +825,8 @@ def compute_windows(
         comp_letters[j] = letters
 
     # Dependency graph between components, cut where timing cannot flow.
+    # A reader depends on every driver of its net, so a multi-driven net
+    # is read only after all of its drivers have stored.
     succ: list[list[int]] = [[] for _ in range(n)]
     for j, comp in enumerate(comps):
         letters = comp_letters[j]
@@ -694,7 +839,13 @@ def compute_windows(
             if rep in fixed:
                 continue
             i = driver_idx.get(rep)
-            if i is not None and j not in succ[i]:
+            if i is None:
+                continue
+            if multi and rep in multi:
+                for i in multi[rep]:
+                    if j not in succ[i]:
+                        succ[i].append(j)
+            elif j not in succ[i]:
                 succ[i].append(j)
 
     # Kahn's toposort doubles as the cycle detector: on an acyclic graph
@@ -717,6 +868,7 @@ def compute_windows(
                 ready.append(j)
 
     widened: set[int] = set()
+    outs: list = [None] * n
     if len(order) < n:
         scc = _strongly_connected(succ)
         scc_sizes: dict[int, int] = {}
@@ -727,10 +879,11 @@ def compute_windows(
                 widened.add(i)
         for i in sorted(widened):
             comp = comps[i]
+            full = IntervalSet.everywhere(period)
+            outs[i] = (full, full)
             for rep in comp_out_reps[i]:
                 if rep in fixed:
                     continue
-                full = IntervalSet.everywhere(period)
                 analysis.windows[rep] = (full, full)
                 analysis.feedback.append(
                     FeedbackCut(
@@ -762,37 +915,32 @@ def compute_windows(
     # everywhere in a synchronous design, so transfers are memoized on
     # (primitive, delays, input windows) — the static counterpart of the
     # engine's evaluation memo.
+    analysis._sweep = _Sweep(
+        comps=comps,
+        inputs=comp_inputs,
+        out_reps=comp_out_reps,
+        kinds=comp_kind,
+        letters=comp_letters,
+        succ=succ,
+        order=order,
+        widened=widened,
+        fixed=fixed,
+        drivers=drivers,
+        case_values=case_values,
+        multi=multi,
+        outs=outs,
+    )
     memo: dict = {}
-    empty = IntervalSet.empty(period)
-    windows = analysis.windows
+    step = analysis._step
     for i in order:
-        if i in widened:
+        if i in widened or comp_kind[i] < 0:
             continue
-        comp = comps[i]
-        kind = comp_kind[i]
-        if kind < 0:
-            continue
-        out = _transfer(
-            comp, kind, comp_inputs[i], comp_letters[i], analysis, circuit,
-            case_values, drivers, period, memo,
-        )
-        if out is None:
-            continue
-        for rep in comp_out_reps[i]:
-            if rep in fixed:
-                continue
-            prev = windows.get(rep)
-            if prev is None:
-                windows[rep] = out
-            else:
-                # Multiple drivers (a lint error in itself): keep the union.
-                windows[rep] = (
-                    prev[0].union(out[0]),
-                    prev[1].union(out[1]),
-                )
+        step(i, memo)
 
     # Stay total even for nets no path above reached.
+    empty = IntervalSet.empty(period)
     pair = (empty, empty)
+    windows = analysis.windows
     for rep in reps:
         if rep not in windows:
             windows[rep] = pair
@@ -843,7 +991,7 @@ def _transfer(
     drivers: dict[Net, tuple[Component, str]],
     period: int,
     memo: dict,
-) -> tuple[IntervalSet, IntervalSet] | None:
+) -> tuple[IntervalSet, IntervalSet]:
     """Static output windows of one component.
 
     Every result is padded by one extra picosecond of maximum delay: the

@@ -14,17 +14,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Session
+from repro import Circuit, Session
 from repro.incremental import (
     AssertionEdit,
+    ConstraintsEdit,
     ParamEdit,
+    PendingDirty,
     ReconnectEdit,
     WireDelayEdit,
+    apply_edit,
     assert_incremental_equivalent,
+    assert_static_equivalent,
     edit_from_doc,
     edit_to_doc,
 )
 from repro.netlist.circuit import NetlistError
+from repro.sta import analyze, check_encloses
+from repro.workloads import figures
 from repro.workloads.synth import SynthConfig, generate
 
 SHIFTER = "examples/designs/shifter.scald"
@@ -163,6 +169,33 @@ class TestReverifySemantics:
         assert inc.prescreen.indeterminate >= 1
         assert not inc.prescreen.ok
 
+    @pytest.mark.parametrize("use_directive", [False, True])
+    def test_prescreen_counts_checks_without_static_twin(self, use_directive):
+        """Fig. 1-5 files no static slack record at all, yet the engine
+        reports its runt clock pulse (a minimum-pulse-width glitch, or a
+        gating-stability error under the &A directive): the prescreen must
+        not read that absence of evidence as clean."""
+        session = Session(figures.fig_1_5_gated_clock(use_directive))
+        assert not session.verify().ok
+        inc = session.reverify(prescreen=True)
+        assert not inc.prescreen.ok
+        assert inc.prescreen.indeterminate == (2 if use_directive else 1)
+
+    def test_latch_borrow_report_is_not_indeterminate(self):
+        """A latch's uncapped borrow record is a report, not a check: a
+        latch design with clean static slack prescreens clean."""
+        c = Circuit("latch", period_ns=50.0, clock_unit_ns=6.25)
+        c.buf("D", "DIN .S0-6", delay=(14.0, 16.0))
+        c.latch("Q", "EN .P2-3", "D", delay=(1.0, 2.0), name="lat")
+        c.setup_hold("DIN .S0-6", "EN .P2-3", setup=2.5, hold=1.5, name="su")
+        session = Session(c)
+        assert session.verify().ok
+        inc = session.reverify(prescreen=True)
+        kinds = sorted(r.kind for r in session.sta().slack)
+        assert kinds == ["borrow", "setup-hold"]
+        assert inc.prescreen.indeterminate == 0
+        assert inc.prescreen.ok and inc.prescreen.worst_slack_ps > 0
+
     def test_dirty_cone_is_local(self):
         """A one-net edit dirties a strict subset of the primitives."""
         circuit, _ = generate(SynthConfig(chips=100)).circuit()
@@ -176,6 +209,184 @@ class TestReverifySemantics:
         inc = assert_incremental_equivalent(session)
         assert 0 < inc.stats.dirty_primitives < total
         assert inc.stats.reused_waveforms > 0
+
+
+class TestHeldStaticAnalysis:
+    """The prescreen's held analysis always equals a fresh ``analyze()``."""
+
+    def _held(self, path=SHIFTER):
+        session = Session.from_file(path)
+        session.verify()
+        assert_static_equivalent(session)  # builds the held analysis
+        return session, session._static
+
+    def test_timing_edits_update_in_place(self):
+        session, held = self._held()
+        session.edit(
+            WireDelayEdit("AFTER 1", (0.0, 25.0)),
+            ParamEdit("s2/rot", {"delay": (2.0, 6.0)}),
+        )
+        inc = assert_static_equivalent(session)
+        assert session._static is held
+        assert not inc.prescreen.ok and inc.prescreen.indeterminate >= 1
+        session.edit(WireDelayEdit("AFTER 1", None))
+        assert assert_static_equivalent(session).prescreen.ok
+        assert session._static is held
+
+    def test_checker_setup_edit_alone(self):
+        # PendingDirty drops checkers; the static dirt must not.
+        session, held = self._held()
+        session.edit(ParamEdit("outreg/su", {"setup": 30.0}))
+        inc = assert_static_equivalent(session)
+        assert session._static is held
+        assert not inc.ok and not inc.prescreen.ok
+        assert inc.prescreen.worst_slack_ps < 0
+
+    def test_reverify_without_prescreen_keeps_static_dirt(self):
+        session, held = self._held()
+        session.edit(WireDelayEdit("AFTER 1", (0.0, 25.0)))
+        assert not session.reverify(prescreen=False).ok
+        session.verify()
+        session.edit(ParamEdit("outreg/su", {"hold": 3.0}))
+        assert_static_equivalent(session)
+        assert session._static is held
+
+    @pytest.mark.parametrize(
+        "path,net,edit",
+        [
+            (SHIFTER, "AFTER 1", ReconnectEdit("outreg/r", "DATA", "AFTER 1")),
+            (MULTICYCLE, "DIN .S0-6", AssertionEdit("DIN .S0-6", ".S1-6")),
+            (SHIFTER, "AFTER 1",
+             ConstraintsEdit(path="examples/designs/shifter.sdc")),
+            (MULTICYCLE, "DIN .S0-6", ConstraintsEdit(clear=True)),
+        ],
+    )
+    def test_structural_edits_rebuild(self, path, net, edit):
+        session, held = self._held(path)
+        session.edit(WireDelayEdit(net, (0.0, 2.0)), edit)
+        assert session._static is None and not session._static_nets
+        assert_static_equivalent(session)
+        assert session._static is not held
+        # The rebuilt analysis is held and updated from then on.
+        rebuilt = session._static
+        session.edit(WireDelayEdit(net, None))
+        assert_static_equivalent(session)
+        assert session._static is rebuilt
+
+    def test_feedback_loop_with_upstream_wire_edit(self):
+        c = Circuit("loop", period_ns=50.0, clock_unit_ns=6.25)
+        c.buf("R", "RIN .S0-6", delay=(1.0, 2.0), name="rb")
+        c.gate("NOR", "Q", ["R", "QB"], delay=(1.0, 2.0), name="g1")
+        c.gate("NOR", "QB", ["S .S0-6", "Q"], delay=(1.0, 2.0), name="g2")
+        c.buf("OUT", "R", delay=(1.0, 2.0), name="ob")
+        c.setup_hold("OUT", "CK .P2-3", setup=1.0, hold=1.0, name="su")
+        c.setup_hold("Q", "CK .P2-3", setup=1.0, hold=1.0, name="suq")
+        session = Session(c)
+        session.verify()
+        assert_static_equivalent(session)
+        held = session._static
+        assert {cut.net for cut in held.windows.feedback} == {"Q", "QB"}
+        for delay in ((0.0, 3.0), (0.0, 30.0), None):
+            session.edit(WireDelayEdit("RIN .S0-6", delay))
+            assert_static_equivalent(session)
+            session.edit(ParamEdit("g1", {"delay": (0.0, 4.0)}))
+            assert_static_equivalent(session)
+        assert session._static is held
+
+    def test_net_with_two_drivers(self):
+        """A multi-driven net (which the engine refuses) keeps the union of
+        its drivers' windows, read only after both have stored."""
+        c = Circuit("wired", period_ns=50.0, clock_unit_ns=6.25)
+        c.buf("A1", "A .S0-4", delay=(1.0, 2.0), name="a1")
+        c.buf("X", "A1", delay=(1.0, 2.0), name="d1")
+        c.buf("X", "B .S2-6", delay=(1.0, 2.0), name="d2")
+        c.buf("Y", "X", delay=(1.0, 1.0), name="rd")
+        c.setup_hold("Y", "CK .P6-7", setup=1.0, hold=1.0, name="su")
+        held = analyze(c)
+        # d1 sits one level deeper than d2; the reader must still see both.
+        x_rise, _ = held.windows.by_name("X")
+        y_rise, _ = held.windows.by_name("Y")
+        assert y_rise.contains_set(x_rise.shift(1_000, 1_001))
+        for edit in (
+            WireDelayEdit("A .S0-4", (0.0, 4.0)),
+            WireDelayEdit("B .S2-6", (1.0, 9.0)),
+            ParamEdit("d1", {"delay": (0.0, 7.0)}),
+            WireDelayEdit("A .S0-4", None),
+        ):
+            apply_edit(c, edit, PendingDirty())
+            if isinstance(edit, WireDelayEdit):
+                held.update({c.find(c.nets[edit.net])}, [])
+            else:
+                held.update(set(), [c.components[edit.component]])
+            fresh = analyze(c)
+            assert held.windows.windows == fresh.windows.windows
+            assert held.slack == fresh.slack
+
+    def test_sdc_input_output_delay_and_recovery(self):
+        c = Circuit("io", period_ns=50.0, clock_unit_ns=6.25)
+        c.buf("D", "PORT", delay=(1.0, 2.0), name="ib")
+        c.buf("CLR", "CLEAR .S0-6", delay=(0.5, 1.0), name="cb")
+        c.reg("Q", "CK .P2-3", "D", delay=(1.0, 2.0), reset="CLR", name="r")
+        c.setup_hold("D", "CK .P2-3", setup=2.5, hold=1.5, name="su")
+        sdc = (
+            'create_clock -period 50 -name CK "CK .P2-3"\n'
+            "set_input_delay 3 -max -clock CK PORT\n"
+            "set_input_delay 1 -min -clock CK PORT\n"
+            "set_output_delay 5 -max -clock CK Q\n"
+            "set_output_delay 1 -min -clock CK Q\n"
+            "set_recovery 4 r\n"
+        )
+        session = Session(c)
+        session.edit(ConstraintsEdit(source=sdc))
+        session.verify()
+        assert_static_equivalent(session)
+        held = session._static
+        kinds = {r.kind for r in held.slack}
+        assert {"setup-hold", "output", "recovery"} <= kinds
+        for edit in (
+            WireDelayEdit("PORT", (0.0, 6.0)),
+            WireDelayEdit("CLR", (0.0, 20.0)),
+            ParamEdit("r", {"delay": (1.0, 9.0)}),
+            WireDelayEdit("CK .P2-3", (0.0, 3.0)),
+            ParamEdit("su", {"setup": 6.0}),
+        ):
+            session.edit(edit)
+            assert_static_equivalent(session)
+        assert session._static is held
+
+    def test_rejected_batch_records_its_applied_prefix(self):
+        session, held = self._held()
+        with pytest.raises(NetlistError):
+            session.edit(
+                WireDelayEdit("AFTER 1", (0.0, 25.0)),
+                WireDelayEdit("NO SUCH NET", (0.0, 1.0)),
+            )
+        assert session._static_nets == {
+            session.circuit.find(session.circuit.nets["AFTER 1"])
+        }
+        inc = assert_static_equivalent(session)
+        assert session._static is held and not inc.prescreen.ok
+
+    def test_held_windows_enclose_the_engine_after_edits(self):
+        session = _synth_session(60, 2)
+        assert_static_equivalent(session)
+        nets = sorted(n for n in session.circuit.nets if n.startswith("S0 R "))
+        for i, net in enumerate(nets[:3]):
+            session.edit(WireDelayEdit(net, (0.0, 0.5 * (i + 1))))
+            inc = assert_static_equivalent(session)
+            cc = check_encloses(inc.result, session._static.windows)
+            assert cc.ok, cc.failures[:3]
+
+    def test_no_prescreen_no_static_dirt(self):
+        session = _session(SHIFTER)
+        for k in range(3):
+            session.edit(
+                WireDelayEdit("AFTER 1", (0.0, float(k))),
+                ParamEdit("outreg/su", {"setup": 1.0 + k}),
+            )
+            session.reverify(prescreen=False)
+        assert session._static is None
+        assert not session._static_nets and not session._static_params
 
 
 class TestWireFormat:
@@ -283,9 +494,12 @@ def _edits(draw, session):
 def test_randomized_edit_sequences(chips, seed, data):
     """Random edit batches: reverify == from-scratch, always."""
     session = _synth_session(chips, seed)
+    assert_static_equivalent(session)  # builds the held static analysis
     # Two reverification rounds per example: dirt must not leak between
     # rounds, and the second round starts from an incremental converged
-    # state rather than a full run's.
+    # state rather than a full run's.  The prescreen-free reverify leaves
+    # the static dirt for the prescreen after it.
     for _ in range(2):
         session.edit(*data.draw(_edits(session)))
         assert_incremental_equivalent(session)
+        assert_static_equivalent(session)

@@ -294,11 +294,16 @@ EOF
 
 echo
 echo "== incremental-equivalence gate: reverify == from-scratch =="
-# Every typed edit class on the shipped designs, plus a deterministic
-# edit sweep over synthetic circuits: the incremental run's listings must
-# be byte-identical to a from-scratch run on the same edited circuit
-# (assert_incremental_equivalent raises otherwise).
+# Every typed edit class on the shipped designs (with and without their
+# .sdc), a deterministic edit sweep over synthetic circuits and a pooled
+# four-case session: the incremental run's listings must be byte-identical
+# to a from-scratch run on the same edited circuit, and after every edit
+# the prescreen's held static analysis must equal a fresh analyze()
+# (assert_incremental_equivalent / assert_static_equivalent raise
+# otherwise).
 python - <<'EOF'
+from pathlib import Path
+
 from repro import Session
 from repro.incremental import (
     AssertionEdit,
@@ -306,13 +311,22 @@ from repro.incremental import (
     ReconnectEdit,
     WireDelayEdit,
     assert_incremental_equivalent,
+    assert_static_equivalent,
 )
 from repro.workloads.synth import SynthConfig, generate
+
+
+def both(session):
+    inc = assert_incremental_equivalent(session)
+    assert_static_equivalent(session)
+    return inc
+
 
 edits_by_design = {
     "examples/designs/shifter.scald": [
         WireDelayEdit("AFTER 1", (0.0, 25.0)),
         ParamEdit("s2/rot", {"delay": (2.0, 6.0)}),
+        ParamEdit("outreg/su", {"setup": 30.0}),
         ReconnectEdit("outreg/r", "DATA", "AFTER 1"),
         WireDelayEdit("AFTER 1", None),
     ],
@@ -322,26 +336,53 @@ edits_by_design = {
     ],
     "examples/designs/recovery.scald": [
         ParamEdit("hold", {"delay": (1.0, 4.0)}),
+        WireDelayEdit("CLEAR .S0-6", (0.0, 9.0)),
     ],
 }
 for path, edits in edits_by_design.items():
-    session = Session.from_file(path)
-    session.verify()
-    for edit in edits:
-        session.edit(edit)
-        assert_incremental_equivalent(session)
-    print(f"ok: {path} ({len(edits)} edits, reverify == scratch)")
+    sdc = Path(path).with_suffix(".sdc")
+    for use_sdc in (False, True):
+        if use_sdc and not sdc.exists():
+            continue
+        session = Session.from_file(path, sdc=str(sdc) if use_sdc else None)
+        session.verify()
+        assert_static_equivalent(session)
+        for edit in edits:
+            session.edit(edit)
+            both(session)
+        with_sdc = f" with {sdc}" if use_sdc else ""
+        print(f"ok: {path}{with_sdc} ({len(edits)} edits, reverify == "
+              f"scratch, held static == analyze())")
 
 for chips, seed in ((60, 1), (200, 7)):
     circuit, _ = generate(SynthConfig(chips=chips, seed=seed)).circuit()
     session = Session(circuit)
     session.verify()
+    assert_static_equivalent(session)
     nets = sorted(n for n in circuit.nets if n.startswith("S0 R "))
     for i, net in enumerate(nets[:4]):
         session.edit(WireDelayEdit(net, (0.0, 0.25 * (i + 1))))
-        inc = assert_incremental_equivalent(session)
-    print(f"ok: synth chips={chips} seed={seed} reverify == scratch "
-          f"(last edit dirtied {inc.stats.dirty_primitives} primitives)")
+        inc = both(session)
+    print(f"ok: synth chips={chips} seed={seed} reverify == scratch, held "
+          f"static == analyze() (last edit dirtied "
+          f"{inc.stats.dirty_primitives} primitives)")
+
+# The prescreen runs in the parent of a pooled session, on the parent's
+# circuit, while the workers re-verify their own copies.
+circuit, _ = generate(SynthConfig(chips=60, seed=1)).circuit()
+for k in range(4):
+    circuit.add_case_by_name({"MUX CTL .S0-8": k % 2})
+pooled = Session(circuit, jobs=2)
+pooled.verify()
+assert_static_equivalent(pooled)
+nets = sorted(n for n in circuit.nets if n.startswith("S0 R "))
+for i, net in enumerate(nets[:3]):
+    pooled.edit(WireDelayEdit(net, (0.0, 0.5 * (i + 1))))
+    inc = both(pooled)
+assert inc.result.pool is not None and inc.result.pool.pool_starts == 1
+pooled.close()
+print("ok: synth chips=60 seed=1 four cases at jobs=2, prescreen on "
+      "(reverify == scratch, held static == analyze())")
 EOF
 
 echo
