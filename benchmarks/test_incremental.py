@@ -19,12 +19,9 @@ import json
 import time
 from pathlib import Path
 
+from repro import oracle
 from repro.core.verifier import TimingVerifier
-from repro.incremental import (
-    WireDelayEdit,
-    assert_incremental_equivalent,
-    assert_static_equivalent,
-)
+from repro.incremental import WireDelayEdit
 from repro.session import Session
 from repro.sta import analyze
 from repro.workloads.synth import SynthConfig, generate
@@ -62,8 +59,7 @@ def test_incremental_speedup(benchmark, report):
 
     # Correctness before speed: the edited design must re-verify
     # byte-identical to a from-scratch run.
-    session.edit(WireDelayEdit(net, (0.0, 0.5)))
-    inc = assert_incremental_equivalent(session)
+    inc = oracle.Reverify(session).step(WireDelayEdit(net, (0.0, 0.5)))
     dirty, total = inc.stats.dirty_primitives, inc.result.primitive_count
 
     # From-scratch baseline on the same edited circuit.
@@ -128,9 +124,9 @@ def test_static_update_speedup(benchmark, report):
 
     # Correctness before speed: the first prescreen builds the held
     # analysis, and after an edit the updated one equals a fresh one.
-    assert_static_equivalent(session)
-    session.edit(WireDelayEdit(net, (0.0, 0.5)))
-    assert_static_equivalent(session)
+    mode = oracle.Reverify(session)
+    mode.step()
+    mode.step(WireDelayEdit(net, (0.0, 0.5)))
 
     scratch_s = None
     for _ in range(5):

@@ -14,9 +14,9 @@ import json
 import time
 from pathlib import Path
 
+from repro import oracle
 from repro.core.verifier import TimingVerifier
 from repro.netlist import bit_blast
-from repro.wordcheck import assert_word_equivalent
 from repro.workloads.synth import SynthConfig, generate
 
 SIZES = (120, 250, 500)
@@ -35,7 +35,11 @@ def _measure(chips: int) -> dict:
     blast = TimingVerifier(blasted).verify()
     blast_seconds = time.perf_counter() - t0
 
-    assert_word_equivalent(word, blast, circuit)
+    oracle.compare(
+        "bit-blast",
+        oracle.observe_bits(word, circuit),
+        oracle.observe_bits(blast, circuit),
+    )
     return {
         "chips": chips,
         "word_primitives": len(circuit.components),

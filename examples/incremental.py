@@ -12,8 +12,7 @@ every incremental answer against the from-scratch oracle.
 Run with:  python examples/incremental.py
 """
 
-from repro import Session, WireDelayEdit, ParamEdit
-from repro.incremental import assert_incremental_equivalent
+from repro import Session, WireDelayEdit, ParamEdit, oracle
 
 DESIGN = "examples/designs/shifter.scald"
 
@@ -29,6 +28,9 @@ def show(tag, inc):
 
 def main() -> int:
     session = Session.from_file(DESIGN)
+    # Each checked step re-verifies and compares the answer with a
+    # from-scratch run of the edited design, raising on any difference.
+    checked = oracle.Reverify(session)
 
     first = session.verify()
     assert first.ok
@@ -39,8 +41,7 @@ def main() -> int:
     #    misses setup at the output register.  The incremental run pays
     #    only for the cone behind the edited net — and byte-identity with
     #    a from-scratch run is asserted, not assumed.
-    session.edit(WireDelayEdit("AFTER 1", (0.0, 25.0)))
-    broken = assert_incremental_equivalent(session)
+    broken = checked.step(WireDelayEdit("AFTER 1", (0.0, 25.0)))
     show("slow bus (25 ns):", broken)
     assert not broken.ok
     print(broken.result.error_listing().splitlines()[0])
@@ -55,11 +56,10 @@ def main() -> int:
 
     # 3. Fix the routing and relax the barrel slice that was marginal:
     #    one batched re-verification, clean again.
-    session.edit(
+    fixed = checked.step(
         WireDelayEdit("AFTER 1", None),
         ParamEdit("s2/rot", {"delay": (2.2, 6.0)}),
     )
-    fixed = assert_incremental_equivalent(session)
     show("rerouted + faster slice:", fixed)
     assert fixed.ok
 

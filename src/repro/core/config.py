@@ -36,34 +36,24 @@ class VerifyConfig:
     #: the thesis's flat default rule; explicit per-net/per-connection wire
     #: delays are never adjusted.
     wire_delay_per_load_ns: float = 0.0
-    #: Rank components by combinational depth (registers, latches and
-    #: assertion-fixed nets break cycles) and drain the worklist in rank
-    #: order, so a primitive is evaluated only after its fan-in has settled
-    #: at the current wave.  Order never affects the fixed point, only how
-    #: many redundant evaluations it takes to reach it.
-    levelized_scheduling: bool = True
-    #: Hash-cons waveforms through a weak-value intern table so equal
-    #: values share one instance (identity-fast convergence comparison and
-    #: shared caches of derived forms).
-    intern_waveforms: bool = True
-    #: Memoize primitive evaluation: prepared inputs per connection and an
-    #: LRU over the gate/register/latch/mux models keyed on everything that
-    #: can affect their output.
-    memoize_evaluation: bool = True
+    #: The engine's three optimisations: levelized scheduling (the
+    #: worklist drains in combinational-rank order, so a primitive is
+    #: evaluated after its fan-in has settled), waveform hash-consing
+    #: through the run's intern table, and memoized evaluation (prepared
+    #: inputs per connection, an LRU over the gate/register/latch/mux
+    #: models, and the checker-verdict memo).  None of them changes the
+    #: fixed point, only the work it takes to reach it.  Off is the naive
+    #: FIFO engine (:meth:`naive`).
+    optimized: bool = True
 
     def naive(self) -> "VerifyConfig":
-        """This configuration with every engine optimisation disabled.
+        """This configuration with every engine optimisation off.
 
-        The naive FIFO engine is the reference oracle: the differential
-        tests require the optimized engine to produce ``==``-identical
-        results to this variant on every workload.
+        The differential tests (``repro.oracle``) require the naive engine
+        to give ``==``-identical results to the optimized one on every
+        workload.
         """
-        return replace(
-            self,
-            levelized_scheduling=False,
-            intern_waveforms=False,
-            memoize_evaluation=False,
-        )
+        return replace(self, optimized=False)
 
     # The picosecond forms depend only on the (frozen) fields, so each is
     # converted on first use and then read from the instance dict: the

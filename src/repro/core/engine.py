@@ -316,7 +316,7 @@ class Engine:
                 self._drivers[self.circuit.find(conn.net)] = (comp, pin)
             for pin, conn in comp.input_pins():
                 self._loads.setdefault(self.circuit.find(conn.net), []).append(comp)
-        if self.config.levelized_scheduling:
+        if self.config.optimized:
             t0 = time.perf_counter()
             self._ranks = self._compute_ranks()
             self._levelize_seconds += time.perf_counter() - t0
@@ -431,7 +431,7 @@ class Engine:
         flag and wire delay), so the key is complete.
         """
         raw = self.raw_value(conn.net)
-        if not self.config.memoize_evaluation:
+        if not self.config.optimized:
             return self._prepare(conn, raw, zero_wire)
         key = (id(conn), zero_wire)
         entry = self._prepared_cache.get(key)
@@ -462,7 +462,7 @@ class Engine:
         not the process-global table, so cross-run sharing is scoped to
         the session's lifetime and deterministic.
         """
-        if not self.config.intern_waveforms:
+        if not self.config.optimized:
             return wf
         key = (wf.period, wf.segments, wf.skew, wf.eval_str)
         table = self._intern_table.table
@@ -645,7 +645,7 @@ class Engine:
     def _enqueue(self, comp: Component) -> None:
         if comp.prim.is_checker or comp.name in self._queued:
             return
-        if self.config.levelized_scheduling:
+        if self.config.optimized:
             heapq.heappush(
                 self._heap, (self._ranks.get(comp.name, 0), self._seq, comp)
             )
@@ -655,7 +655,7 @@ class Engine:
         self._queued.add(comp.name)
 
     def _pop(self) -> Component | None:
-        if self.config.levelized_scheduling:
+        if self.config.optimized:
             if not self._heap:
                 return None
             return heapq.heappop(self._heap)[2]
@@ -942,7 +942,7 @@ class Engine:
         string), and every delay parameter.  The models themselves are
         pure functions of those inputs.
         """
-        if not self.config.memoize_evaluation:
+        if not self.config.optimized:
             return thunk()
         memo = self._eval_memo
         out = memo.get(key)
@@ -1003,7 +1003,7 @@ class Engine:
         raw = over.get(idx) if over else None
         if raw is None:
             return self.prepared_input(conn, zero_wire)
-        if not self.config.memoize_evaluation:
+        if not self.config.optimized:
             return self._prepare(conn, raw, zero_wire)
         key = (id(conn), zero_wire, idx)
         entry = self._prepared_cache.get(key)
@@ -1329,7 +1329,7 @@ class Engine:
             return self._lane_variants(
                 comp, case_index, self._check_one_impl, margins
             )
-        if not self.config.memoize_evaluation:
+        if not self.config.optimized:
             return self._check_one_impl(
                 comp, case_index, self._raw_of, self.prepared_input, margins
             )

@@ -1,33 +1,35 @@
-"""Typed circuit edits and the dirty-cone bookkeeping behind re-verify.
+"""Typed circuit edits and the dirt they leave for re-verify.
 
 The thesis pitches the Timing Verifier as a designer-facing tool used
 across many edit-verify iterations of a large design; this module is the
 edit half of that loop.  Each edit class below mutates the expanded
 :class:`~repro.netlist.Circuit` *in place* — so a from-scratch run on the
 same circuit object is always available as the correctness oracle — and
-folds what it dirtied into a :class:`PendingDirty` accumulator:
+records what it dirtied in a :class:`PendingDirty` accumulator:
 
 * ``components`` — primitives whose next evaluation may produce a new
   output; :meth:`Engine.incremental_begin` seeds the worklist with them
   and lets event propagation walk the rest of the cone.
+* ``reader_nets`` / ``driver_nets`` — nets whose readers (their
+  effective wire delay changed) or whose driver must re-evaluate.  The
+  session resolves them through its engine's load and driver maps when
+  the next run begins, so an edit never scans the circuit.
 * ``stale_connections`` — connections whose prepared-input cache entries
-  must be purged because their effective wire delay changed (the cache
-  validates by raw-waveform identity only) or because the Connection
-  object itself was retired (``id()`` reuse hazard).
+  must be purged because the Connection object itself was retired
+  (``id()`` reuse hazard); the readers' default-delay connections on the
+  ``reader_nets`` join them at resolution.
 * ``topology`` — the driver/load maps and levelized ranks need a rebuild.
 
 Everything outside the dirty cone keeps its stored waveform verbatim; the
 uniqueness of the fixed point (the same argument behind §2.7 case
 analysis and the parallel case blocks) makes the incremental result
-byte-identical to a from-scratch run — and
-:func:`assert_incremental_equivalent` checks exactly that, the way
-``repro.wordcheck`` polices the word-level engine against bit blasting.
+byte-identical to a from-scratch run, which ``repro.oracle``'s reverify
+and pooled modes check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import zip_longest
 from typing import Mapping
 
 from .hdl import parse_signal_name
@@ -50,8 +52,6 @@ __all__ = [
     "ReconnectEdit",
     "WireDelayEdit",
     "apply_edit",
-    "assert_incremental_equivalent",
-    "assert_static_equivalent",
     "edit_from_doc",
     "edit_to_doc",
 ]
@@ -63,6 +63,10 @@ class PendingDirty:
 
     components: dict[str, Component] = field(default_factory=dict)
     stale_connections: list[Connection] = field(default_factory=list)
+    #: Nets whose readers, and nets whose driver, must re-evaluate (dicts
+    #: as insertion-ordered sets, so the worklist order is reproducible).
+    reader_nets: dict[Net, None] = field(default_factory=dict)
+    driver_nets: dict[Net, None] = field(default_factory=dict)
     topology: bool = False
     #: Structural validation must re-run: set by edits that touch what the
     #: structural lint rules inspect (pins/connections and assertions).
@@ -73,39 +77,14 @@ class PendingDirty:
     def clear(self) -> None:
         self.components.clear()
         self.stale_connections.clear()
+        self.reader_nets.clear()
+        self.driver_nets.clear()
         self.topology = False
         self.structure = False
 
     def merge_component(self, comp: Component) -> None:
         if not comp.prim.is_checker:
             self.components[comp.name] = comp
-
-
-def _touch_net(circuit: Circuit, rep: Net, pending: PendingDirty) -> None:
-    """Dirty every reader of ``rep`` and purge their default-delay entries.
-
-    Used whenever the effective wire delay seen at ``rep``'s input
-    connections may have changed — a direct wire-delay edit, or a
-    topology edit under the per-load delay rule (section 3.3), where the
-    delay of *every* connection on the net depends on the load count.
-    """
-    for comp in circuit.iter_components():
-        touched = False
-        for _pin, conn in comp.input_pins():
-            if circuit.find(conn.net) is rep:
-                touched = True
-                if conn.wire_delay_ps is None:
-                    pending.stale_connections.append(conn)
-        if touched:
-            pending.merge_component(comp)
-
-
-def _driver_of(circuit: Circuit, rep: Net) -> Component | None:
-    for comp in circuit.iter_components():
-        for _pin, conn in comp.output_pins():
-            if circuit.find(conn.net) is rep:
-                return comp
-    return None
 
 
 def _require_net(circuit: Circuit, name: str) -> Net:
@@ -147,7 +126,7 @@ class WireDelayEdit:
                     f"bad wire delay range {self.delay_ns!r} for {self.net!r}"
                 )
             rep.wire_delay_ps = (lo_ps, hi_ps)
-        _touch_net(circuit, rep, pending)
+        pending.reader_nets[rep] = None
 
 
 @dataclass(frozen=True)
@@ -226,10 +205,8 @@ class ReconnectEdit:
             pending.stale_connections.append(old)
             reps.add(circuit.find(old.net))
         for rep in reps:
-            _touch_net(circuit, rep, pending)
-            driver = _driver_of(circuit, rep)
-            if driver is not None:
-                pending.merge_component(driver)
+            pending.reader_nets[rep] = None
+            pending.driver_nets[rep] = None
 
 
 @dataclass(frozen=True)
@@ -266,11 +243,9 @@ class AssertionEdit:
             # classification; ranks need a rebuild (classes are re-derived
             # by the reclassification scan regardless).
             pending.topology = True
-        driver = _driver_of(circuit, rep)
-        if driver is not None:
-            # A formerly pinned net handed back to its driver holds a
-            # stale asserted waveform until the driver re-stores.
-            pending.merge_component(driver)
+        # A formerly pinned net handed back to its driver holds a stale
+        # asserted waveform until the driver re-stores.
+        pending.driver_nets[rep] = None
 
 
 @dataclass(frozen=True)
@@ -427,105 +402,3 @@ def edit_from_doc(doc: Mapping[str, object]) -> Edit:
             path=str(path) if path is not None else None,
         )
     raise NetlistError(f"unknown edit kind {kind!r}")
-
-
-# ----------------------------------------------------------------------
-# the correctness gate
-# ----------------------------------------------------------------------
-
-def assert_incremental_equivalent(session, prescreen: bool = False):
-    """Re-verify ``session`` incrementally and police it against scratch.
-
-    Runs :meth:`Session.reverify` and a from-scratch
-    :class:`~repro.core.verifier.TimingVerifier` on the *same* edited
-    circuit, then asserts the outputs a user can observe are
-    byte-identical: the error listing, the per-case summary listings, and
-    the assumed-stable cross-reference.  (Work counters legitimately
-    differ — an incremental run pays for the cone, not the circuit.)
-    Returns the incremental result.  This is the same differential-oracle
-    pattern ``repro.wordcheck`` uses for word-level evaluation.
-    """
-    from .core.verifier import TimingVerifier
-
-    inc = session.reverify(prescreen=prescreen)
-    scratch = TimingVerifier(
-        session.circuit, session.config, constraints=session.constraints
-    ).verify()
-    _assert_results_match(inc.result, scratch)
-    return inc
-
-
-def assert_static_equivalent(session):
-    """Prescreen-reverify ``session`` and police its held static analysis.
-
-    Runs :meth:`Session.reverify` with the prescreen on a verified
-    session, which brings the session's held static analysis up to date
-    from the edits since its last prescreen, and compares that analysis
-    with a fresh :func:`repro.sta.analyze` of the same edited circuit:
-    every net's windows, the feedback cuts, the clock domains (roots,
-    storage, crossings, per-net root and launch sets), the slack list in
-    order, and every :class:`~repro.session.Prescreen` field but
-    ``seconds``.  Returns the reverify result.
-    """
-    from .session import Prescreen
-    from .sta import analyze
-
-    inc = session.reverify(prescreen=True)
-    if inc.prescreen is None:
-        raise AssertionError("the session had not verified: no prescreen ran")
-    held = session._static
-    fresh = analyze(session.circuit, session.config, constraints=session.constraints)
-
-    def same(label: str, got, want) -> None:
-        if got != want:
-            raise AssertionError(
-                f"held static {label} diverges from a fresh analysis:\n"
-                f"  held:  {got!r}\n  fresh: {want!r}"
-            )
-
-    same("window count", len(held.windows.windows), len(fresh.windows.windows))
-    for rep, want in fresh.windows.windows.items():
-        same(f"windows of {rep.name!r}", held.windows.windows.get(rep), want)
-    same("feedback cuts", held.windows.feedback, fresh.windows.feedback)
-    for attr in ("roots", "storage", "crossings", "net_roots", "net_launch"):
-        same(f"domains.{attr}", getattr(held.domains, attr), getattr(fresh.domains, attr))
-    for i, (got, want) in enumerate(zip_longest(held.slack, fresh.slack)):
-        same(f"slack record {i}", got, want)
-    same("prescreen", inc.prescreen, Prescreen.of(fresh, inc.prescreen.seconds))
-    return inc
-
-
-def _assert_results_match(inc, scratch) -> None:
-    def diff(label: str, got: str, want: str) -> None:
-        if got == want:
-            return
-        got_lines, want_lines = got.splitlines(), want.splitlines()
-        for i, (g, w) in enumerate(zip(got_lines, want_lines)):
-            if g != w:
-                raise AssertionError(
-                    f"incremental {label} diverges from scratch at line "
-                    f"{i + 1}:\n  incremental: {g!r}\n  scratch:     {w!r}"
-                )
-        raise AssertionError(
-            f"incremental {label} length {len(got_lines)} != scratch "
-            f"{len(want_lines)}"
-        )
-
-    if inc.xref_assumed_stable != scratch.xref_assumed_stable:
-        raise AssertionError(
-            "incremental cross-reference diverges from scratch:\n"
-            f"  incremental: {inc.xref_assumed_stable}\n"
-            f"  scratch:     {scratch.xref_assumed_stable}"
-        )
-    diff("error listing", inc.error_listing(), scratch.error_listing())
-    if len(inc.cases) != len(scratch.cases):
-        raise AssertionError(
-            f"incremental ran {len(inc.cases)} cases, scratch "
-            f"{len(scratch.cases)}"
-        )
-    for case in range(len(scratch.cases)):
-        diff(
-            f"case {case} summary",
-            inc.summary_listing(case=case),
-            scratch.summary_listing(case=case),
-        )

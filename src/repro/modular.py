@@ -106,24 +106,14 @@ def check_interfaces(sections: dict[str, Circuit]) -> list[InterfaceIssue]:
 def verify_sections(
     sections: dict[str, Circuit],
     config: VerifyConfig | None = None,
-    jobs: int = 1,
     constraints=None,
 ) -> ModularResult:
     """Verify each section independently and check interface consistency.
 
     ``constraints`` is either a mapping from section name to that
     section's resolved constraint set, or a single set applied to every
-    section.  With ``jobs > 1`` the sections — independent circuits by
-    construction — are verified one-per-worker in parallel processes; the
-    merged result is identical to the serial one (see ``repro.parallel``),
-    constraints included.
+    section.
     """
-    if jobs > 1:
-        from .parallel import verify_sections_parallel
-
-        return verify_sections_parallel(
-            sections, config, jobs=jobs, constraints=constraints
-        )
     result = ModularResult()
     for name, circuit in sections.items():
         section_constraints = (

@@ -6,12 +6,12 @@ primitive becomes *w* width-1 primitives over per-bit nets named
 ``"NAME [i]"``, with scalar nets (clocks, selects, controls) shared by all
 bit slices.
 
-The transform is the word-level engine's *differential oracle*: the
-per-bit circuit carries no vector symmetry at all, so verifying it with
-the ordinary scalar engine gives an independent per-bit answer that the
-word-level path must reproduce exactly (see ``repro.wordcheck``).  It
-doubles as the ``--bit-blast`` CLI mode and the ablation benchmark's
-"what if we had no vectors" arm.
+The transform checks the word-level engine: the per-bit circuit carries
+no vector symmetry at all, so verifying it with the ordinary scalar
+engine gives an independent per-bit answer that the word-level path must
+reproduce exactly (the bit-blast mode of ``repro.oracle``).  It doubles
+as the ``--bit-blast`` CLI mode and the ablation benchmark's "what if we
+had no vectors" arm.
 """
 
 from __future__ import annotations

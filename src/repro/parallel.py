@@ -1,13 +1,10 @@
-"""Process-parallel verification: a warm worker pool, case sharding and
-section sharding.
+"""Process-parallel verification: a warm worker pool sharding §2.7 cases.
 
-The ROADMAP's scaling story has two halves.  The first is that both axes
-of a large verification run are embarrassingly parallel: every §2.7 case
-is an independent fixed-point problem over the same circuit, and every
-§2.5.2 modular section is an independent circuit.  The second — this
-module's reason to exist after the fork-per-run pool *lost* to serial
-(``BENCH_parallel.json``) — is that the transfer costs dominate unless
-the pool is persistent and the traffic is deltas:
+Every §2.7 case is an independent fixed-point problem over the same
+circuit, so the case axis of a verification is embarrassingly parallel.
+This module's reason to exist after the fork-per-run pool *lost* to
+serial (``BENCH_parallel.json``) is that the transfer costs dominate
+unless the pool is persistent and the traffic is deltas:
 
 * **Pool lifetime.**  A :class:`WorkerPool` is owned by a
   :class:`repro.session.Session` and forks its workers once, lazily, on
@@ -44,20 +41,13 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 import time
 import weakref
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from .core.config import VerifyConfig
 from .core.engine import EngineStats
-from .core.verifier import (
-    PoolStats,
-    TimingVerifier,
-    VerificationResult,
-)
+from .core.verifier import PoolStats, VerificationResult
 from .core.violations import CheckReport
 from .core.waveform import Waveform
 from .netlist.circuit import Circuit
@@ -68,7 +58,6 @@ __all__ = [
     "WorkerPool",
     "case_blocks",
     "verify_parallel",
-    "verify_sections_parallel",
 ]
 
 
@@ -102,8 +91,7 @@ class WorkerCrash(RuntimeError):
     """A pool worker died mid-run (OOM kill, hard crash, broken pipe).
 
     ``what`` names the unit of work that was outstanding — the CLI prints
-    it on stderr and exits 2 instead of surfacing a raw
-    ``BrokenProcessPool`` traceback.
+    it on stderr and exits 2 instead of surfacing a raw traceback.
     """
 
     def __init__(self, what: str, detail: str = "") -> None:
@@ -604,69 +592,3 @@ def verify_parallel(
     return Session(
         circuit, config, constraints=constraints, jobs=jobs
     ).verify()
-
-
-# ----------------------------------------------------------------------
-# section sharding (modular verification, section 2.5.2)
-# ----------------------------------------------------------------------
-
-
-def _verify_section(payload: bytes):
-    name, circuit, config, constraints = pickle.loads(payload)
-    return TimingVerifier(circuit, config, constraints=constraints).verify()
-
-
-def verify_sections_parallel(
-    sections: dict[str, Circuit],
-    config: VerifyConfig | None = None,
-    jobs: int | None = None,
-    constraints=None,
-):
-    """Verify each section in its own worker process, one section per task.
-
-    ``constraints`` is either a mapping from section name to that
-    section's resolved constraint set, or a single set applied to every
-    section (the sets are name-resolved, so per-section mappings are the
-    normal shape).  Returns the same :class:`~repro.modular.ModularResult`
-    the serial :func:`repro.modular.verify_sections` produces: sections
-    are rebuilt in their original insertion order regardless of
-    completion order, and the interface-consistency check runs in the
-    parent.  A worker death is reported as :class:`WorkerCrash` naming
-    the section whose task failed.
-    """
-    from .modular import ModularResult, check_interfaces, verify_sections
-
-    names = list(sections)
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs <= 1 or len(names) <= 1:
-        return verify_sections(sections, config, constraints=constraints)
-    config = config or VerifyConfig()
-
-    def constraints_of(name):
-        if isinstance(constraints, dict):
-            return constraints.get(name)
-        return constraints
-
-    payloads = {
-        name: pickle.dumps(
-            (name, sections[name], config, constraints_of(name)),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        for name in names
-    }
-    results: dict[str, VerificationResult] = {}
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(names)), mp_context=_pool_context()
-    ) as pool:
-        futures = {name: pool.submit(_verify_section, payloads[name]) for name in names}
-        for name in names:
-            try:
-                results[name] = futures[name].result()
-            except BrokenProcessPool as exc:
-                raise WorkerCrash(f"section {name!r}", str(exc) or "worker died") from exc
-    out = ModularResult()
-    for name in names:
-        out.sections[name] = results[name]
-    out.interface_issues = check_interfaces(sections)
-    return out

@@ -173,33 +173,30 @@ def profile_json(
     return out
 
 
-def _cache_disabled(result: "VerificationResult") -> tuple[bool, bool]:
-    """(memo+prepared disabled, intern disabled) from the run's config.
+def _cache_disabled(result: "VerificationResult") -> bool:
+    """Did the run's config switch the engine's caches off?
 
     A cache a :class:`VerifyConfig` switched off never counts a hit, and
     reporting that as a 0% hit rate reads as a cache that failed; the
     reporters show ``"disabled"`` instead.  Results from before the config
     was recorded (``result.config is None``) keep the numeric rendering.
     """
-    cfg = result.config
-    if cfg is None:
-        return False, False
-    return not cfg.memoize_evaluation, not cfg.intern_waveforms
+    return result.config is not None and not result.config.optimized
 
 
 def _cache_stats(result: "VerificationResult") -> dict[str, object]:
     s = result.stats
-    memo_off, intern_off = _cache_disabled(result)
+    off = _cache_disabled(result)
     out: dict[str, object] = {
         "memo_hits": s.memo_hits,
         "memo_misses": s.memo_misses,
-        "memo_hit_rate": "disabled" if memo_off else s.memo_hit_rate,
+        "memo_hit_rate": "disabled" if off else s.memo_hit_rate,
         "intern_hits": s.intern_hits,
         "intern_misses": s.intern_misses,
-        "intern_hit_rate": "disabled" if intern_off else s.intern_hit_rate,
+        "intern_hit_rate": "disabled" if off else s.intern_hit_rate,
         "prepared_hits": s.prepared_hits,
         "prepared_misses": s.prepared_misses,
-        "prepared_hit_rate": "disabled" if memo_off else s.prepared_hit_rate,
+        "prepared_hit_rate": "disabled" if off else s.prepared_hit_rate,
         "evaluations_saved": s.evaluations_saved,
     }
     return out
@@ -215,7 +212,7 @@ def profile_report(
     """
     data = profile_json(result, expander)
     s = result.stats
-    memo_off, intern_off = _cache_disabled(result)
+    off = _cache_disabled(result)
     ph = data["phases_seconds"]
     rows: list[tuple[str, float]] = []
     total = ph["total"]
@@ -253,15 +250,15 @@ def profile_report(
         "divergence splits",
         "",
         _cache_line(
-            "evaluation memo:", s.memo_hits, s.memo_misses, memo_off,
+            "evaluation memo:", s.memo_hits, s.memo_misses, off,
             s.memo_hit_rate, f" — {s.evaluations_saved} model runs saved",
         ),
         _cache_line(
-            "intern table:   ", s.intern_hits, s.intern_misses, intern_off,
+            "intern table:   ", s.intern_hits, s.intern_misses, off,
             s.intern_hit_rate,
         ),
         _cache_line(
-            "prepared inputs:", s.prepared_hits, s.prepared_misses, memo_off,
+            "prepared inputs:", s.prepared_hits, s.prepared_misses, off,
             s.prepared_hit_rate,
         ),
     ]

@@ -26,9 +26,9 @@ By default it first runs the static prescreen, an instant conservative
 verdict ahead of the engine's authoritative one; the held analysis
 re-sweeps only the cone of nets whose windows the edits actually change.
 Byte-identity with a from-scratch run is the correctness gate for the
-engine (:func:`repro.incremental.assert_incremental_equivalent`), and
-equality with a fresh :func:`repro.sta.analyze` the gate for the held
-analysis (:func:`repro.incremental.assert_static_equivalent`).
+engine, and equality with a fresh :func:`repro.sta.analyze` the gate for
+the held analysis; ``repro.oracle``'s reverify and pooled modes check
+both after every edit.
 """
 
 from __future__ import annotations
@@ -340,16 +340,33 @@ class Session:
     def _begin(self, case: dict[str, int], incremental: bool) -> None:
         """Fold the pending edits into the engine and start a run at ``case``.
 
-        ``incremental`` re-enters the fixed point from the converged state
-        (:meth:`Engine.incremental_begin`, seeded with the dirtied
-        primitives); otherwise every signal starts over.
+        The edits' nets resolve to components through the engine's load
+        and driver maps, after any topology rebuild; the readers'
+        default-delay connections on those nets lose their prepared
+        inputs.  ``incremental`` re-enters the fixed point from the
+        converged state (:meth:`Engine.incremental_begin`, seeded with the
+        dirtied primitives); otherwise every signal starts over.
         """
         engine = self.engine
-        if self._dirty.topology:
+        pending = self._dirty
+        if pending.topology:
             engine.rebuild_topology()
-        engine.forget_connections(self._dirty.stale_connections)
-        dirty = list(self._dirty.components.values())
-        self._dirty.clear()
+        find = self.circuit.find
+        for rep in pending.reader_nets:
+            for comp in engine._loads.get(rep, ()):
+                pending.merge_component(comp)
+                pending.stale_connections.extend(
+                    conn
+                    for _pin, conn in comp.input_pins()
+                    if conn.wire_delay_ps is None and find(conn.net) is rep
+                )
+        for rep in pending.driver_nets:
+            driver = engine._drivers.get(rep)
+            if driver is not None:
+                pending.merge_component(driver[0])
+        engine.forget_connections(pending.stale_connections)
+        dirty = list(pending.components.values())
+        pending.clear()
         if incremental:
             engine.incremental_begin(case, dirty)
         else:

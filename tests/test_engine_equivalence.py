@@ -1,17 +1,18 @@
-"""Differential proof of the optimized engine against the naive oracle.
+"""Differential proof of the optimized engine against the naive one.
 
-The three engine optimisations — levelized scheduling, waveform interning,
+The engine's optimisations — levelized scheduling, waveform interning,
 memoized evaluation — may change how many evaluations the fixed point
-takes, but never what it converges to.  These tests require ``==``-identical
-snapshots, violations and cross-reference listings between the optimized
-engine and the naive FIFO reference (all toggles off) on every workload,
-including under case analysis.
+takes, but never what it converges to.  ``repro.oracle.naive`` requires
+``==``-identical observations (snapshots, violations, listings,
+cross-reference and margins) between the optimized engine and the naive
+FIFO engine on every workload, including under case analysis.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro import oracle
 from repro.core.config import VerifyConfig
 from repro.core.engine import Engine
 from repro.core.verifier import TimingVerifier
@@ -21,76 +22,35 @@ from repro.workloads.synth import SynthConfig, generate
 OPTIMIZED = VerifyConfig()
 NAIVE = OPTIMIZED.naive()
 
-#: One configuration per optimisation, to localise any divergence.
-SINGLE_TOGGLES = [
-    pytest.param(
-        VerifyConfig(
-            levelized_scheduling=True,
-            intern_waveforms=False,
-            memoize_evaluation=False,
-        ),
-        id="levelized-only",
-    ),
-    pytest.param(
-        VerifyConfig(
-            levelized_scheduling=False,
-            intern_waveforms=True,
-            memoize_evaluation=False,
-        ),
-        id="intern-only",
-    ),
-    pytest.param(
-        VerifyConfig(
-            levelized_scheduling=False,
-            intern_waveforms=False,
-            memoize_evaluation=True,
-        ),
-        id="memo-only",
-    ),
-    pytest.param(OPTIMIZED, id="all-on"),
-]
-
-
-def assert_equivalent(circuit, config):
-    """Optimized and naive runs must agree on everything observable."""
-    reference = TimingVerifier(circuit, NAIVE).verify()
-    candidate = TimingVerifier(circuit, config).verify()
-
-    assert len(candidate.cases) == len(reference.cases)
-    for got, want in zip(candidate.cases, reference.cases):
-        assert got.assignments == want.assignments
-        assert got.waveforms == want.waveforms
-    assert [str(v) for v in candidate.violations] == [
-        str(v) for v in reference.violations
-    ]
-    assert candidate.xref_assumed_stable == reference.xref_assumed_stable
-    assert candidate.ok == reference.ok
+#: The optimized engine, every optimisation on ("all-on"), held to the
+#: naive engine by the oracle's naive mode.
+ALL_ON = pytest.mark.parametrize("mode", [pytest.param(oracle.naive, id="all-on")])
 
 
 @pytest.mark.parametrize(
     "chips,seed",
     [(120, 1980), (250, 7), (500, 42)],
 )
-@pytest.mark.parametrize("config", SINGLE_TOGGLES)
-def test_synth_equivalence(chips, seed, config):
+@ALL_ON
+def test_synth_equivalence(chips, seed, mode):
     circuit, _ = generate(
         SynthConfig(chips=chips, stage_chips=250, seed=seed)
     ).circuit()
-    assert_equivalent(circuit, config)
+    mode(circuit)
 
 
-@pytest.mark.parametrize("config", SINGLE_TOGGLES)
-def test_minicpu_equivalence(config):
-    assert_equivalent(build_minicpu(), config)
+@ALL_ON
+def test_minicpu_equivalence(mode):
+    mode(build_minicpu())
 
 
-@pytest.mark.parametrize("config", SINGLE_TOGGLES)
-def test_case_analysis_equivalence(config):
+@ALL_ON
+def test_case_analysis_equivalence(mode):
     """Incremental ``apply_case`` re-evaluation matches the naive engine."""
     circuit, _ = generate(SynthConfig(chips=200)).circuit()
     for k in range(4):
         circuit.add_case_by_name({"MUX CTL .S0-8": k % 2})
-    assert_equivalent(circuit, config)
+    mode(circuit)
 
 
 def test_scrambled_order_equivalence():
@@ -99,7 +59,7 @@ def test_scrambled_order_equivalence():
     items = list(circuit.components.items())[::-1]
     circuit.components.clear()
     circuit.components.update(items)
-    assert_equivalent(circuit, OPTIMIZED)
+    oracle.naive(circuit)
 
 
 def test_optimized_engine_reports_cache_activity():

@@ -2,19 +2,21 @@
 
 The correctness gate for the whole incremental layer: after any typed
 edit (or sequence of edits), ``Session.reverify()`` and a from-scratch
-``TimingVerifier`` on the same edited circuit must produce identical
-error listings, summary listings and cross-references
-(:func:`repro.incremental.assert_incremental_equivalent`).  Shipped
-designs cover each edit type deterministically; a hypothesis sweep drives
-randomized edit sequences over the synthetic generator's size x seed
-matrix.
+``TimingVerifier`` on the same edited circuit must give the same
+observation, and the prescreen's held static analysis must equal a fresh
+``analyze()`` (``repro.oracle.Reverify`` and ``repro.oracle.Pooled``).
+Shipped designs cover each edit type deterministically; a hypothesis
+sweep drives randomized edit sequences over the synthetic generator's
+size x seed matrix, serially and on a pooled four-case session.
 """
+
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Circuit, Session
+from repro import Circuit, Session, oracle
 from repro.incremental import (
     AssertionEdit,
     ConstraintsEdit,
@@ -23,8 +25,6 @@ from repro.incremental import (
     ReconnectEdit,
     WireDelayEdit,
     apply_edit,
-    assert_incremental_equivalent,
-    assert_static_equivalent,
     edit_from_doc,
     edit_to_doc,
 )
@@ -36,98 +36,146 @@ from repro.workloads.synth import SynthConfig, generate
 SHIFTER = "examples/designs/shifter.scald"
 MULTICYCLE = "examples/designs/multicycle.scald"
 RECOVERY = "examples/designs/recovery.scald"
+DESIGNS = Path(__file__).resolve().parent.parent / "examples" / "designs"
 
 
-def _session(path):
-    session = Session.from_file(path)
-    session.verify()
-    return session
+def _mode(path):
+    """A verified session on ``path``, held to the oracle."""
+    mode = oracle.Reverify(Session.from_file(path))
+    mode.verify()
+    return mode
 
 
 class TestEditTypes:
     def test_wire_delay_edit(self):
-        session = _session(SHIFTER)
-        session.edit(WireDelayEdit("AFTER 1", (0.0, 1.0)))
-        inc = assert_incremental_equivalent(session)
+        inc = _mode(SHIFTER).step(WireDelayEdit("AFTER 1", (0.0, 1.0)))
         assert inc.incremental
         assert inc.stats.incremental_runs == 1
         assert inc.stats.reused_waveforms > 0
 
     def test_wire_delay_restore_default(self):
-        session = _session(SHIFTER)
-        session.edit(WireDelayEdit("AFTER 1", (0.0, 1.0)))
-        session.reverify(prescreen=False)
-        session.edit(WireDelayEdit("AFTER 1", None))
-        inc = assert_incremental_equivalent(session)
+        mode = _mode(SHIFTER)
+        mode.session.edit(WireDelayEdit("AFTER 1", (0.0, 1.0)))
+        mode.session.reverify(prescreen=False)
+        inc = mode.step(WireDelayEdit("AFTER 1", None))
         assert inc.incremental
 
     def test_param_edit_model_delay(self):
-        session = _session(SHIFTER)
-        session.edit(ParamEdit("s1/rot", {"delay": (2.0, 5.0)}))
-        inc = assert_incremental_equivalent(session)
+        inc = _mode(SHIFTER).step(ParamEdit("s1/rot", {"delay": (2.0, 5.0)}))
         assert inc.incremental
 
     def test_param_edit_checker(self):
-        session = _session(SHIFTER)
         # Tighten the output register's setup far enough to fail: the
         # incremental run must report the identical violation listing.
-        session.edit(ParamEdit("outreg/su", {"setup": 30.0}))
-        inc = assert_incremental_equivalent(session)
+        inc = _mode(SHIFTER).step(ParamEdit("outreg/su", {"setup": 30.0}))
         assert not inc.ok
 
     def test_param_edit_rejects_unknown(self):
         # A valid key ahead of the bad one must not be written either: a
         # half-applied edit would change the delay without dirtying the
         # component, and the next reverify would miss it.
-        session = _session(SHIFTER)
-        before = dict(session.circuit.components["s1/rot"].params)
+        mode = _mode(SHIFTER)
+        before = dict(mode.session.circuit.components["s1/rot"].params)
         with pytest.raises(NetlistError):
-            session.edit(
-                ParamEdit("s1/rot", {"delay": (2.0, 5.0), "bogus": 1.0})
-            )
-        assert session.circuit.components["s1/rot"].params == before
-        assert_incremental_equivalent(session)
+            mode.step(ParamEdit("s1/rot", {"delay": (2.0, 5.0), "bogus": 1.0}))
+        assert mode.session.circuit.components["s1/rot"].params == before
+        mode.step()
 
     def test_param_edit_rejects_width(self):
-        session = _session(SHIFTER)
-        before = dict(session.circuit.components["s1/rot"].params)
+        mode = _mode(SHIFTER)
+        before = dict(mode.session.circuit.components["s1/rot"].params)
         with pytest.raises(NetlistError):
-            session.edit(ParamEdit("s1/rot", {"delay": (2.0, 5.0), "width": 8}))
-        assert session.circuit.components["s1/rot"].params == before
-        assert_incremental_equivalent(session)
+            mode.step(ParamEdit("s1/rot", {"delay": (2.0, 5.0), "width": 8}))
+        assert mode.session.circuit.components["s1/rot"].params == before
+        mode.step()
 
     def test_reconnect_edit(self):
-        session = _session(SHIFTER)
         # Bypass the second shift stage at the output register.
-        session.edit(ReconnectEdit("outreg/r", "DATA", "AFTER 1"))
-        inc = assert_incremental_equivalent(session)
+        inc = _mode(SHIFTER).step(ReconnectEdit("outreg/r", "DATA", "AFTER 1"))
         assert inc.incremental
 
     def test_reconnect_rejects_unknown_pin(self):
-        session = _session(SHIFTER)
+        session = _mode(SHIFTER).session
         with pytest.raises(NetlistError):
             session.edit(ReconnectEdit("outreg/r", "NOPIN", "AFTER 1"))
 
     def test_assertion_edit(self):
-        session = _session(MULTICYCLE)
-        session.edit(AssertionEdit("DIN .S0-6", ".S1-6"))
-        inc = assert_incremental_equivalent(session)
+        inc = _mode(MULTICYCLE).step(AssertionEdit("DIN .S0-6", ".S1-6"))
         assert inc.incremental
 
     def test_edit_sequence_batches(self):
-        session = _session(SHIFTER)
-        session.edit(
+        inc = _mode(SHIFTER).step(
             WireDelayEdit("HELD", (0.0, 0.5)),
             ParamEdit("s2/rot", {"delay": (2.0, 6.0)}),
             ParamEdit("inreg/su", {"hold": 1.0}),
         )
-        inc = assert_incremental_equivalent(session)
         assert inc.incremental
 
     def test_recovery_design(self):
-        session = _session(RECOVERY)
-        session.edit(ParamEdit("hold", {"delay": (1.0, 4.0)}))
-        assert_incremental_equivalent(session)
+        _mode(RECOVERY).step(ParamEdit("hold", {"delay": (1.0, 4.0)}))
+
+
+#: Every typed edit class on each shipped design, applied one at a time.
+SHIPPED_EDITS = {
+    "shifter": [
+        WireDelayEdit("AFTER 1", (0.0, 25.0)),
+        ParamEdit("s2/rot", {"delay": (2.0, 6.0)}),
+        ParamEdit("outreg/su", {"setup": 30.0}),
+        ReconnectEdit("outreg/r", "DATA", "AFTER 1"),
+        WireDelayEdit("AFTER 1", None),
+    ],
+    "multicycle": [
+        AssertionEdit("DIN .S0-6", ".S1-6"),
+        ParamEdit("su", {"setup": 1.0}),
+    ],
+    "recovery": [
+        ParamEdit("hold", {"delay": (1.0, 4.0)}),
+        WireDelayEdit("CLEAR .S0-6", (0.0, 9.0)),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "name,sdc",
+    [
+        pytest.param(name, sdc, id=f"{name}{'+sdc' if sdc else ''}")
+        for name in SHIPPED_EDITS
+        for sdc in (False, True)
+        if not sdc or (DESIGNS / f"{name}.sdc").exists()
+    ],
+)
+def test_shipped_design_edit_lists(name, sdc):
+    """Each edit in turn: reverify == scratch, held static == analyze()."""
+    path = DESIGNS / f"{name}.scald"
+    sdc_path = str(path.with_suffix(".sdc")) if sdc else None
+    mode = oracle.Reverify(Session.from_file(str(path), sdc=sdc_path))
+    mode.verify()
+    mode.step()  # builds the held static analysis
+    for edit in SHIPPED_EDITS[name]:
+        mode.step(edit)
+
+
+@pytest.mark.parametrize("chips,seed", [(60, 1), (200, 7)])
+def test_synth_wire_edits(chips, seed):
+    """Four wire edits in the first stage, one reverify each."""
+    mode = oracle.Reverify(_synth_session(chips, seed))
+    mode.step()
+    nets = sorted(n for n in mode.session.circuit.nets if n.startswith("S0 R "))
+    for i, net in enumerate(nets[:4]):
+        inc = mode.step(WireDelayEdit(net, (0.0, 0.25 * (i + 1))))
+        assert 0 < inc.stats.dirty_primitives < inc.result.primitive_count
+
+
+def test_pooled_four_cases_prescreen_on():
+    """The prescreen runs in the parent of a pooled session, on the
+    parent's circuit, while the workers re-verify their own copies."""
+    with oracle.Pooled(_synth_cases(60, 1)) as mode:
+        mode.verify()
+        mode.step()
+        nets = sorted(n for n in mode.session.circuit.nets if n.startswith("S0 R "))
+        for i, net in enumerate(nets[:3]):
+            inc = mode.step(WireDelayEdit(net, (0.0, 0.5 * (i + 1))))
+        assert inc.result.pool.pool_starts == 1
 
 
 class TestReverifySemantics:
@@ -138,15 +186,15 @@ class TestReverifySemantics:
         assert inc.ok
 
     def test_noop_reverify_reuses_everything(self):
-        session = _session(SHIFTER)
-        inc = session.reverify(prescreen=False)
+        mode = _mode(SHIFTER)
+        inc = mode.session.reverify(prescreen=False)
         assert inc.incremental
         assert inc.stats.dirty_primitives == 0
         assert inc.stats.reused_waveforms > 0
-        assert_incremental_equivalent(session)
+        mode.step()
 
     def test_prescreen_attached(self):
-        session = _session(SHIFTER)
+        session = _mode(SHIFTER).session
         session.edit(WireDelayEdit("AFTER 1", (0.0, 1.0)))
         inc = session.reverify(prescreen=True)
         assert inc.prescreen is not None
@@ -161,7 +209,7 @@ class TestReverifySemantics:
         """An overflowed static window makes no slack claim; the prescreen
         must not launder "no evidence" into "statically clean" while the
         engine goes on to find real violations."""
-        session = _session(SHIFTER)
+        session = _mode(SHIFTER).session
         session.edit(WireDelayEdit("AFTER 1", (0.0, 25.0)))
         inc = session.reverify(prescreen=True)
         assert not inc.ok  # engine authority: the design is broken
@@ -199,14 +247,13 @@ class TestReverifySemantics:
     def test_dirty_cone_is_local(self):
         """A one-net edit dirties a strict subset of the primitives."""
         circuit, _ = generate(SynthConfig(chips=100)).circuit()
-        session = Session(circuit)
-        session.verify()
+        mode = oracle.Reverify(Session(circuit))
+        mode.verify()
         total = sum(
             1 for c in circuit.iter_components() if not c.prim.is_checker
         )
         net = next(n for n in circuit.nets if n.startswith("S0 R "))
-        session.edit(WireDelayEdit(net, (0.0, 0.4)))
-        inc = assert_incremental_equivalent(session)
+        inc = mode.step(WireDelayEdit(net, (0.0, 0.4)))
         assert 0 < inc.stats.dirty_primitives < total
         assert inc.stats.reused_waveforms > 0
 
@@ -215,40 +262,36 @@ class TestHeldStaticAnalysis:
     """The prescreen's held analysis always equals a fresh ``analyze()``."""
 
     def _held(self, path=SHIFTER):
-        session = Session.from_file(path)
-        session.verify()
-        assert_static_equivalent(session)  # builds the held analysis
-        return session, session._static
+        mode = _mode(path)
+        mode.step()  # builds the held analysis
+        return mode, mode.session._static
 
     def test_timing_edits_update_in_place(self):
-        session, held = self._held()
-        session.edit(
+        mode, held = self._held()
+        inc = mode.step(
             WireDelayEdit("AFTER 1", (0.0, 25.0)),
             ParamEdit("s2/rot", {"delay": (2.0, 6.0)}),
         )
-        inc = assert_static_equivalent(session)
-        assert session._static is held
+        assert mode.session._static is held
         assert not inc.prescreen.ok and inc.prescreen.indeterminate >= 1
-        session.edit(WireDelayEdit("AFTER 1", None))
-        assert assert_static_equivalent(session).prescreen.ok
-        assert session._static is held
+        assert mode.step(WireDelayEdit("AFTER 1", None)).prescreen.ok
+        assert mode.session._static is held
 
     def test_checker_setup_edit_alone(self):
         # PendingDirty drops checkers; the static dirt must not.
-        session, held = self._held()
-        session.edit(ParamEdit("outreg/su", {"setup": 30.0}))
-        inc = assert_static_equivalent(session)
-        assert session._static is held
+        mode, held = self._held()
+        inc = mode.step(ParamEdit("outreg/su", {"setup": 30.0}))
+        assert mode.session._static is held
         assert not inc.ok and not inc.prescreen.ok
         assert inc.prescreen.worst_slack_ps < 0
 
     def test_reverify_without_prescreen_keeps_static_dirt(self):
-        session, held = self._held()
+        mode, held = self._held()
+        session = mode.session
         session.edit(WireDelayEdit("AFTER 1", (0.0, 25.0)))
         assert not session.reverify(prescreen=False).ok
         session.verify()
-        session.edit(ParamEdit("outreg/su", {"hold": 3.0}))
-        assert_static_equivalent(session)
+        mode.step(ParamEdit("outreg/su", {"hold": 3.0}))
         assert session._static is held
 
     @pytest.mark.parametrize(
@@ -262,15 +305,15 @@ class TestHeldStaticAnalysis:
         ],
     )
     def test_structural_edits_rebuild(self, path, net, edit):
-        session, held = self._held(path)
+        mode, held = self._held(path)
+        session = mode.session
         session.edit(WireDelayEdit(net, (0.0, 2.0)), edit)
         assert session._static is None and not session._static_nets
-        assert_static_equivalent(session)
+        mode.step()
         assert session._static is not held
         # The rebuilt analysis is held and updated from then on.
         rebuilt = session._static
-        session.edit(WireDelayEdit(net, None))
-        assert_static_equivalent(session)
+        mode.step(WireDelayEdit(net, None))
         assert session._static is rebuilt
 
     def test_feedback_loop_with_upstream_wire_edit(self):
@@ -281,17 +324,15 @@ class TestHeldStaticAnalysis:
         c.buf("OUT", "R", delay=(1.0, 2.0), name="ob")
         c.setup_hold("OUT", "CK .P2-3", setup=1.0, hold=1.0, name="su")
         c.setup_hold("Q", "CK .P2-3", setup=1.0, hold=1.0, name="suq")
-        session = Session(c)
-        session.verify()
-        assert_static_equivalent(session)
-        held = session._static
+        mode = oracle.Reverify(Session(c))
+        mode.verify()
+        mode.step()
+        held = mode.session._static
         assert {cut.net for cut in held.windows.feedback} == {"Q", "QB"}
         for delay in ((0.0, 3.0), (0.0, 30.0), None):
-            session.edit(WireDelayEdit("RIN .S0-6", delay))
-            assert_static_equivalent(session)
-            session.edit(ParamEdit("g1", {"delay": (0.0, 4.0)}))
-            assert_static_equivalent(session)
-        assert session._static is held
+            mode.step(WireDelayEdit("RIN .S0-6", delay))
+            mode.step(ParamEdit("g1", {"delay": (0.0, 4.0)}))
+        assert mode.session._static is held
 
     def test_net_with_two_drivers(self):
         """A multi-driven net (which the engine refuses) keeps the union of
@@ -318,9 +359,7 @@ class TestHeldStaticAnalysis:
                 held.update({c.find(c.nets[edit.net])}, [])
             else:
                 held.update(set(), [c.components[edit.component]])
-            fresh = analyze(c)
-            assert held.windows.windows == fresh.windows.windows
-            assert held.slack == fresh.slack
+            oracle.compare_static("reverify", held, analyze(c))
 
     def test_sdc_input_output_delay_and_recovery(self):
         c = Circuit("io", period_ns=50.0, clock_unit_ns=6.25)
@@ -336,11 +375,11 @@ class TestHeldStaticAnalysis:
             "set_output_delay 1 -min -clock CK Q\n"
             "set_recovery 4 r\n"
         )
-        session = Session(c)
-        session.edit(ConstraintsEdit(source=sdc))
-        session.verify()
-        assert_static_equivalent(session)
-        held = session._static
+        mode = oracle.Reverify(Session(c))
+        mode.session.edit(ConstraintsEdit(source=sdc))
+        mode.verify()
+        mode.step()
+        held = mode.session._static
         kinds = {r.kind for r in held.slack}
         assert {"setup-hold", "output", "recovery"} <= kinds
         for edit in (
@@ -350,12 +389,12 @@ class TestHeldStaticAnalysis:
             WireDelayEdit("CK .P2-3", (0.0, 3.0)),
             ParamEdit("su", {"setup": 6.0}),
         ):
-            session.edit(edit)
-            assert_static_equivalent(session)
-        assert session._static is held
+            mode.step(edit)
+        assert mode.session._static is held
 
     def test_rejected_batch_records_its_applied_prefix(self):
-        session, held = self._held()
+        mode, held = self._held()
+        session = mode.session
         with pytest.raises(NetlistError):
             session.edit(
                 WireDelayEdit("AFTER 1", (0.0, 25.0)),
@@ -364,21 +403,20 @@ class TestHeldStaticAnalysis:
         assert session._static_nets == {
             session.circuit.find(session.circuit.nets["AFTER 1"])
         }
-        inc = assert_static_equivalent(session)
+        inc = mode.step()
         assert session._static is held and not inc.prescreen.ok
 
     def test_held_windows_enclose_the_engine_after_edits(self):
-        session = _synth_session(60, 2)
-        assert_static_equivalent(session)
-        nets = sorted(n for n in session.circuit.nets if n.startswith("S0 R "))
+        mode = oracle.Reverify(_synth_session(60, 2))
+        mode.step()
+        nets = sorted(n for n in mode.session.circuit.nets if n.startswith("S0 R "))
         for i, net in enumerate(nets[:3]):
-            session.edit(WireDelayEdit(net, (0.0, 0.5 * (i + 1))))
-            inc = assert_static_equivalent(session)
-            cc = check_encloses(inc.result, session._static.windows)
+            inc = mode.step(WireDelayEdit(net, (0.0, 0.5 * (i + 1))))
+            cc = check_encloses(inc.result, mode.session._static.windows)
             assert cc.ok, cc.failures[:3]
 
     def test_no_prescreen_no_static_dirt(self):
-        session = _session(SHIFTER)
+        session = _mode(SHIFTER).session
         for k in range(3):
             session.edit(
                 WireDelayEdit("AFTER 1", (0.0, float(k))),
@@ -426,8 +464,8 @@ class TestWireFormat:
 _SYNTH_CACHE = {}
 
 
-def _synth_session(chips, seed):
-    """A converged session on a cached synthetic circuit.
+def _synth_circuit(chips, seed):
+    """A fresh expansion of a cached synthetic design.
 
     Sessions edit circuits in place, so every draw gets a fresh expansion;
     only the (deterministic) generated source is cached.
@@ -435,10 +473,22 @@ def _synth_session(chips, seed):
     key = (chips, seed)
     if key not in _SYNTH_CACHE:
         _SYNTH_CACHE[key] = generate(SynthConfig(chips=chips, seed=seed))
-    circuit, _ = _SYNTH_CACHE[key].circuit()
-    session = Session(circuit)
+    return _SYNTH_CACHE[key].circuit()[0]
+
+
+def _synth_session(chips, seed):
+    """A converged session on a cached synthetic circuit."""
+    session = Session(_synth_circuit(chips, seed))
     session.verify()
     return session
+
+
+def _synth_cases(chips, seed):
+    """The same design with four cases on its mux select."""
+    circuit = _synth_circuit(chips, seed)
+    for k in range(4):
+        circuit.add_case_by_name({"MUX CTL .S0-8": k % 2})
+    return circuit
 
 
 @st.composite
@@ -492,14 +542,20 @@ def _edits(draw, session):
 @given(data=st.data())
 @pytest.mark.parametrize("chips,seed", [(30, 1), (30, 7), (60, 2)])
 def test_randomized_edit_sequences(chips, seed, data):
-    """Random edit batches: reverify == from-scratch, always."""
-    session = _synth_session(chips, seed)
-    assert_static_equivalent(session)  # builds the held static analysis
-    # Two reverification rounds per example: dirt must not leak between
-    # rounds, and the second round starts from an incremental converged
-    # state rather than a full run's.  The prescreen-free reverify leaves
-    # the static dirt for the prescreen after it.
-    for _ in range(2):
-        session.edit(*data.draw(_edits(session)))
-        assert_incremental_equivalent(session)
-        assert_static_equivalent(session)
+    """Random edit batches: reverify == from-scratch, always, serially and
+    on a pooled four-case session driven through the same batches."""
+    serial = oracle.Reverify(_synth_session(chips, seed))
+    with oracle.Pooled(_synth_cases(chips, seed)) as pooled:
+        pooled.verify()
+        for mode in (serial, pooled):
+            mode.step()  # builds the held static analysis
+        # Two rounds per example: dirt must not leak between rounds, and
+        # the second round starts from an incremental converged state
+        # rather than a full run's.  Each batch is re-verified without the
+        # prescreen, which leaves the static dirt for the no-op step after
+        # it; that step's engine result is the prescreen-free run's.
+        for _ in range(2):
+            edits = data.draw(_edits(serial.session))
+            for mode in (serial, pooled):
+                mode.session.edit(*edits).reverify(prescreen=False)
+                mode.step()

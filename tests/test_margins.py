@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import oracle
 from repro.constraints import load_constraints
 from repro.core.verifier import TimingVerifier
 from repro.hdl.expander import MacroExpander
@@ -79,25 +80,19 @@ class TestStaticSlackBoundsMargins:
 
 class TestMarginsAgreeAcrossModes:
     def test_serial_pooled_and_incremental_runs_agree(self):
+        """Every run files the reference's margins in its report order
+        (``repro.oracle``): a full run, a second run served from the
+        checker memo and an edit→reverify, serially and on the pool."""
         edit = WireDelayEdit("ALU EN .P4.5-6", (0.0, 30.0))
-        scratch = Session(_synth(60, 1, n_cases=4))
-        clean = list(scratch.verify().margins.items())
-        scratch = Session(_synth(60, 1, n_cases=4)).edit(edit)
-        edited = scratch.verify()
-        assert any(m < 0 for m in edited.margins.values())
-        edited = list(edited.margins.items())
-        assert {key[3] for key, _ in edited} == {0, 1, 2, 3}
-
-        serial = Session(_synth(60, 1, n_cases=4))
-        pooled = Session(_synth(60, 1, n_cases=4), jobs=2)
-        try:
-            for session in (serial, pooled):
-                assert list(session.verify().margins.items()) == clean
+        serial = oracle.Reverify(Session(_synth(60, 1, n_cases=4)))
+        with oracle.Pooled(_synth(60, 1, n_cases=4)) as pooled:
+            for mode in (serial, pooled):
+                mode.verify()
                 # A second run serves every check from the checker memo.
-                assert list(session.verify().margins.items()) == clean
-                inc = session.edit(edit).reverify(prescreen=False)
+                mode.verify()
+                inc = mode.step(edit)
                 assert inc.incremental
-                assert list(inc.result.margins.items()) == edited
-            assert pooled._pool.stats.workers == 2
-        finally:
-            pooled.close()
+                edited = inc.result.margins
+                assert any(m < 0 for m in edited.values())
+                assert {key[3] for key in edited} == {0, 1, 2, 3}
+            assert pooled.session._pool.stats.workers == 2

@@ -1,11 +1,12 @@
 """Process-parallel verification must match the serial verifier exactly.
 
 The contract of ``repro.parallel`` is determinism: for any circuit and any
-jobs count, the parallel run's violations, waveforms, listings and exit
-status are byte-identical to the serial run's.  These tests check that
-over a synth size x seed matrix, over a failing multi-case design, and
-over modular sections, plus the merge plumbing (block partitioning,
-EngineStats.merged, CPU phase times) and result-object pickling.
+jobs count, the parallel run's observation (violations, waveforms,
+listings, margins and verdict) equals the serial reference's
+(``repro.oracle``).  These tests check that over a synth size x seed
+matrix and over a failing multi-case design, plus the merge plumbing
+(block partitioning, EngineStats.merged, CPU phase times) and
+result-object pickling.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from pathlib import Path
 
 import pytest
 
+from repro import oracle
 from repro.constraints import load_constraints
 from repro.core.engine import EngineStats
-from repro.core.verifier import TimingVerifier, VerificationResult
+from repro.core.verifier import TimingVerifier
 from repro.hdl.expander import MacroExpander
 from repro.incremental import WireDelayEdit
 from repro.modular import verify_sections
@@ -53,22 +55,13 @@ def failing_multicase() -> Circuit:
     return c
 
 
-def assert_equivalent(serial: VerificationResult, par: VerificationResult):
-    assert [v.message() for v in serial.violations] == [
-        v.message() for v in par.violations
-    ]
-    assert serial.error_listing() == par.error_listing()
-    assert serial.ok == par.ok
-    assert serial.xref_assumed_stable == par.xref_assumed_stable
-    assert len(serial.cases) == len(par.cases)
-    for cs, cp in zip(serial.cases, par.cases):
-        assert cs.index == cp.index
-        assert cs.assignments == cp.assignments
-        assert cs.waveforms == cp.waveforms
-    for case in range(len(serial.cases)):
-        assert serial.summary_listing(case=case) == par.summary_listing(
-            case=case
-        )
+def assert_matches_reference(circuit: Circuit, par, constraints=None):
+    """``par``, a pooled run of ``circuit``, against the serial reference."""
+    want = oracle.reference(circuit, constraints)
+    oracle.compare(
+        "pooled", oracle.observe(want, circuit), oracle.observe(par, circuit)
+    )
+    return want
 
 
 class TestCaseBlocks:
@@ -92,36 +85,31 @@ class TestSerialParallelEquivalence:
     @pytest.mark.parametrize("seed", [1, 7])
     def test_synth_matrix(self, chips, seed):
         circuit = synth_with_cases(chips, seed)
-        serial = TimingVerifier(circuit).verify()
-        par = verify_parallel(circuit, jobs=2)
-        assert_equivalent(serial, par)
+        serial = assert_matches_reference(circuit, verify_parallel(circuit, jobs=2))
         assert serial.ok  # the generator's designs verify clean
 
     def test_failing_design_violations_in_case_order(self):
         circuit = failing_multicase()
-        serial = TimingVerifier(circuit).verify()
         par = verify_parallel(circuit, jobs=3)
+        serial = assert_matches_reference(circuit, par)
         assert serial.violations  # exercised the merge with real content
-        assert_equivalent(serial, par)
         assert [v.case_index for v in par.violations] == sorted(
             v.case_index for v in par.violations
         )
 
     def test_more_jobs_than_cases(self):
         circuit = synth_with_cases(60, 3, n_cases=2)
-        serial = TimingVerifier(circuit).verify()
-        par = verify_parallel(circuit, jobs=8)
-        assert_equivalent(serial, par)
+        assert_matches_reference(circuit, verify_parallel(circuit, jobs=8))
 
     def test_pool_sized_by_case_blocks(self):
         """Two cases make two blocks: eight jobs fork two workers, not
         eight (a worker with no block would idle yet take every edit)."""
         circuit = synth_with_cases(60, 3, n_cases=2)
-        sess = Session(synth_with_cases(60, 3, n_cases=2), jobs=8)
+        sess = Session(circuit, jobs=8)
         try:
             par = sess.verify()
             assert par.pool.workers == 2
-            assert_equivalent(TimingVerifier(circuit).verify(), par)
+            assert_matches_reference(circuit, par)
         finally:
             sess.close()
 
@@ -132,27 +120,24 @@ class TestSerialParallelEquivalence:
         incrementally."""
         circuit, _ = generate(SynthConfig(chips=60, stage_chips=30)).circuit()
         par = verify_parallel(circuit, jobs=4)
-        assert_equivalent(TimingVerifier(circuit).verify(), par)
+        assert_matches_reference(circuit, par)
         assert par.pool is None  # the serial verifier ran
 
-        def synth():
-            return generate(SynthConfig(chips=200, seed=7)).circuit()[0]
+        single, _ = generate(SynthConfig(chips=200, seed=7)).circuit()
+        par = verify_parallel(single, jobs=4)
+        assert_matches_reference(single, par)
+        assert par.pool is None
 
-        edit = WireDelayEdit("ALU CTL .S0-8", (0.0, 3.0))
-        serial, pooled = Session(synth()), Session(synth(), jobs=2)
-        assert pooled._pool is None
-        assert_equivalent(serial.verify(), pooled.verify())
-        want = serial.edit(edit).reverify(prescreen=False)
-        got = pooled.edit(edit).reverify(prescreen=False)
-        assert_equivalent(want.result, got.result)
+        with oracle.Pooled(single) as pooled:
+            pooled.verify()
+            got = pooled.step(WireDelayEdit("ALU CTL .S0-8", (0.0, 3.0)))
         assert got.incremental and got.result.pool is None
         assert got.result.stats.incremental_runs == 1
 
     def test_single_case_too_small_to_partition_runs_serial(self):
         circuit = fig_2_5_register_file()
         par = verify_parallel(circuit, jobs=4)
-        serial = TimingVerifier(circuit).verify()
-        assert_equivalent(serial, par)
+        assert_matches_reference(circuit, par)
         assert par.pool is None  # the serial verifier ran
 
     def test_parallel_records_cpu_phase_times(self):
@@ -169,30 +154,21 @@ class TestWarmPool:
     @pytest.mark.parametrize("chips", [60, 200])
     @pytest.mark.parametrize("seed", [1, 7])
     def test_two_runs_and_an_edit_on_one_pool(self, chips, seed):
-        """The ISSUE's warm-reuse matrix: verify, verify again, then
+        """The warm-reuse matrix: verify, verify again, then
         edit→reverify — all on the same workers, all equal to serial."""
         edit = WireDelayEdit("MUX CTL .S0-8", (0.0, 2.0))
-        oracle_sess = Session(synth_with_cases(chips, seed))
-        serial = oracle_sess.verify()
-        serial_edited = oracle_sess.edit(edit).reverify().result
-
-        sess = Session(synth_with_cases(chips, seed), jobs=2)
-        try:
-            r1 = sess.verify()
-            r2 = sess.verify()
-            assert_equivalent(serial, r1)
-            assert_equivalent(serial, r2)
+        with oracle.Pooled(synth_with_cases(chips, seed)) as pooled:
+            pooled.verify()
+            r2 = pooled.verify()
             assert r2.pool.pool_starts == 1  # same workers, not a refork
             assert r2.pool.runs == 2
             assert r2.pool.warm_runs >= 1  # run 2 restarted incrementally
 
-            inc = sess.edit(edit).reverify()
+            inc = pooled.step(edit)
             assert inc.incremental
             assert inc.result.pool.edits_shipped == 1
             assert inc.result.pool.pool_starts == 1
-            assert_equivalent(serial_edited, inc.result)
-        finally:
-            sess.close()
+            assert inc.result.pool.runs == 3
 
     def test_rejected_batch_still_ships_its_applied_edits(self):
         """A batch whose second edit raises keeps the first in the parent
@@ -200,18 +176,11 @@ class TestWarmPool:
         stale circuit and reports clean."""
         good = WireDelayEdit("ALU EN .P4.5-6", (0.0, 30.0))
         bad = WireDelayEdit("NO SUCH NET", (0.0, 1.0))
-        serial = Session(synth_with_cases(60, 1, n_cases=4))
-        sess = Session(synth_with_cases(60, 1, n_cases=4), jobs=2)
-        try:
-            for session in (serial, sess):
-                session.verify()
-                with pytest.raises(NetlistError):
-                    session.edit(good, bad)
-            want = serial.verify()
-            assert len(want.violations) == 16
-            assert_equivalent(want, sess.verify())
-        finally:
-            sess.close()
+        with oracle.Pooled(synth_with_cases(60, 1, n_cases=4)) as pooled:
+            pooled.verify()
+            with pytest.raises(NetlistError):
+                pooled.session.edit(good, bad)
+            assert len(pooled.verify().violations) == 16
 
     def test_digest_transfer_dedups_waveforms(self):
         sess = Session(synth_with_cases(60, 1), jobs=2)
@@ -232,8 +201,8 @@ class TestWarmPool:
 
 
 class TestConstrainedParallel:
-    """SDC constraints must survive both parallel axes (regression: the
-    old section pool silently verified *unconstrained* under jobs > 1)."""
+    """SDC constraints must reach the pool's workers (regression: the old
+    section pool silently verified *unconstrained* under jobs > 1)."""
 
     def _multicycle(self, n_cases: int = 4):
         circuit = MacroExpander.from_file(
@@ -248,38 +217,21 @@ class TestConstrainedParallel:
 
     def test_constrained_case_run_matches_serial(self):
         circuit, constraints = self._multicycle()
-        serial = TimingVerifier(circuit, constraints=constraints).verify()
-        c2, cons2 = self._multicycle()
-        par = verify_parallel(c2, jobs=2, constraints=cons2)
-        assert_equivalent(serial, par)
+        par = verify_parallel(circuit, jobs=2, constraints=constraints)
+        serial = assert_matches_reference(circuit, par, constraints)
         # The regression has teeth: without the constraints the verdict
         # flips, so a pool that dropped them could not pass this test.
-        c3, _ = self._multicycle()
-        unconstrained = TimingVerifier(c3).verify()
-        assert serial.ok and not unconstrained.ok
+        bare, _ = self._multicycle()
+        assert serial.ok and not verify_parallel(bare, jobs=2).ok
 
     def test_constrained_sections_match_serial(self):
+        """Each section verifies under its own constraint set."""
         circuit, constraints = self._multicycle(n_cases=0)
         sections = {"mc": circuit, "rf": fig_2_5_register_file()}
-        constraint_map = {"mc": constraints}
-        serial = verify_sections(sections, constraints=constraint_map)
-        par = verify_sections(sections, jobs=2, constraints=constraint_map)
-        assert serial.report() == par.report()
-        for name in sections:
-            assert (
-                serial.sections[name].error_listing()
-                == par.sections[name].error_listing()
-            )
+        serial = verify_sections(sections, constraints={"mc": constraints})
         # Teeth: the unconstrained run reports violations in "mc".
-        bare = verify_sections(sections, jobs=2)
+        bare = verify_sections(sections)
         assert not bare.sections["mc"].ok and serial.sections["mc"].ok
-
-
-class _ExitOnUnpickle:
-    """Pickles fine in the parent; kills the worker that unpickles it."""
-
-    def __reduce__(self):
-        return (os._exit, (13,))
 
 
 class TestWorkerCrash:
@@ -299,17 +251,6 @@ class TestWorkerCrash:
             assert recovered.pool.pool_starts == 2
         finally:
             sess.close()
-
-    def test_section_worker_death_names_the_section(self):
-        sections = {
-            "boom": fig_2_6_case_analysis(),
-            "ok": fig_2_5_register_file(),
-        }
-        with pytest.raises(WorkerCrash) as excinfo:
-            verify_sections(
-                sections, jobs=2, constraints={"boom": _ExitOnUnpickle()}
-            )
-        assert "section 'boom'" in str(excinfo.value)
 
 
 class TestStatsMerge:
@@ -332,29 +273,6 @@ class TestStatsMerge:
     def test_merge_of_nothing_is_zero(self):
         m = EngineStats.merged([])
         assert m.events == 0 and m.events_by_case == []
-
-
-class TestModularParallel:
-    def sections(self):
-        return {"rf": fig_2_5_register_file(), "cases": fig_2_6_case_analysis()}
-
-    def test_sections_match_serial(self):
-        secs = self.sections()
-        serial = verify_sections(secs)
-        par = verify_sections(secs, jobs=2)
-        assert list(serial.sections) == list(par.sections)  # original order
-        for name in serial.sections:
-            assert (
-                serial.sections[name].error_listing()
-                == par.sections[name].error_listing()
-            )
-        assert serial.report() == par.report()
-        assert serial.ok == par.ok
-
-    def test_jobs_one_is_the_serial_path(self):
-        secs = self.sections()
-        assert verify_sections(secs, jobs=1).report() == \
-            verify_sections(secs).report()
 
 
 class TestResultPickling:

@@ -1,21 +1,23 @@
 """Tests for the session server (repro.server, ``scald-serve``).
 
 The server runs in-process on an ephemeral loopback port; every wire
-answer is checked against the direct Python API on the same design, so
-the HTTP layer can only ever be a transport, never a second
-implementation.
+answer is checked against a fresh reference verification of the same
+design (``repro.oracle.Served``), so the HTTP layer can only ever be a
+transport, never a second implementation.
 """
 
 import json
 import socket
 import statistics
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
-from repro import Session
-from repro.incremental import ParamEdit, WireDelayEdit, edit_to_doc
+from repro import Session, oracle
+from repro.incremental import ParamEdit, WireDelayEdit
 from repro.reporting.stafmt import fmax_doc, sta_doc
 from repro.server import ServerError, SessionClient, SessionServer
 
@@ -112,13 +114,8 @@ class TestTransport:
 
 class TestVerifyOverHttp:
     def test_verify_matches_direct_api(self, client):
-        sid = client.create(path=SHIFTER)
-        doc = client.verify(sid)
+        doc = oracle.Served(client, SHIFTER).verify()
         direct = Session.from_file(SHIFTER).verify()
-        assert doc["ok"] == direct.ok
-        assert doc["error_listing"] == direct.error_listing()
-        assert doc["summary_listing"] == direct.summary_listing()
-        assert doc["xref_assumed_stable"] == direct.xref_assumed_stable
         assert doc["profile"]["primitives"] == direct.primitive_count
 
     def test_edit_reverify_matches_direct_api(self, client):
@@ -126,23 +123,16 @@ class TestVerifyOverHttp:
             WireDelayEdit("AFTER 1", (0.0, 1.0)),
             ParamEdit("s1/rot", {"delay": (2.0, 5.5)}),
         ]
-        sid = client.create(path=SHIFTER)
-        client.verify(sid)
-        assert client.edit(sid, *[edit_to_doc(e) for e in edits]) == {
-            "ok": True,
-            "applied": 2,
-        }
-        doc = client.reverify(sid, prescreen=False)
+        served = oracle.Served(client, SHIFTER)
+        served.verify()
+        assert served.edit(*edits) == {"ok": True, "applied": 2}
+        doc = served.check(client.reverify(served.sid, prescreen=False))
 
         direct = Session.from_file(SHIFTER)
         direct.verify()
-        direct.edit(*edits)
-        inc = direct.reverify(prescreen=False)
+        inc = direct.edit(*edits).reverify(prescreen=False)
         assert doc["incremental"] is True
         assert doc["prescreen"] is None
-        assert doc["ok"] == inc.ok
-        assert doc["error_listing"] == inc.result.error_listing()
-        assert doc["summary_listing"] == inc.result.summary_listing()
         assert (
             doc["profile"]["incremental"]["dirty_primitives"]
             == inc.stats.dirty_primitives
@@ -158,19 +148,14 @@ class TestVerifyOverHttp:
             calls.append(case)
             return render(result, case=case)
 
-        edit = WireDelayEdit("AFTER 1", (0.0, 1.0))
-        sid = client.create(path=SHIFTER)
-        client.verify(sid)
-        client.edit(sid, edit_to_doc(edit))
+        served = oracle.Served(client, SHIFTER)
+        served.verify()
+        served.edit(WireDelayEdit("AFTER 1", (0.0, 1.0)))
         monkeypatch.setattr(listing, "timing_summary", counted)
-        doc = client.reverify(sid, prescreen=False)
+        doc = client.reverify(served.sid, prescreen=False)
         assert calls == [0]
         monkeypatch.undo()
-
-        direct = Session.from_file(SHIFTER)
-        direct.verify()
-        inc = direct.edit(edit).reverify(prescreen=False)
-        assert doc["summary_listing"] == render(inc.result)
+        served.check(doc)
 
     def test_reverify_prescreen_on_wire(self, client):
         sid = client.create(path=SHIFTER)
@@ -200,37 +185,21 @@ class TestPooledOverHttp:
     HTTP API; its listings stay byte-identical to the serial ones."""
 
     def test_jobs_session_matches_serial_and_reuses_pool(self, client):
-        sid = client.create(path=SHIFTER, jobs=2)
-        serial = Session.from_file(SHIFTER).verify()
-        doc = client.verify(sid)
-        assert doc["ok"] == serial.ok
-        assert doc["error_listing"] == serial.error_listing()
-        assert doc["summary_listing"] == serial.summary_listing()
-        pool = doc["profile"]["pool"]
+        served = oracle.Served(client, SHIFTER, jobs=2)
+        pool = served.verify()["profile"]["pool"]
         assert pool["workers"] == 2 and pool["pool_starts"] == 1
 
         # A second verify reuses the same workers, warm.
-        doc2 = client.verify(sid)
-        assert doc2["summary_listing"] == serial.summary_listing()
-        pool2 = doc2["profile"]["pool"]
+        pool2 = served.verify()["profile"]["pool"]
         assert pool2["pool_starts"] == 1
         assert pool2["runs"] == 2 and pool2["warm_runs"] >= 1
 
     def test_pooled_edit_reverify_matches_serial(self, client):
-        edit = WireDelayEdit("AFTER 1", (0.0, 1.0))
-        sid = client.create(path=SHIFTER, jobs=2)
-        client.verify(sid)
-        client.edit(sid, edit_to_doc(edit))
-        doc = client.reverify(sid, prescreen=False)
-
-        direct = Session.from_file(SHIFTER)
-        direct.verify()
-        direct.edit(edit)
-        inc = direct.reverify(prescreen=False)
+        served = oracle.Served(client, SHIFTER, jobs=2)
+        served.verify()
+        served.edit(WireDelayEdit("AFTER 1", (0.0, 1.0)))
+        doc = served.check(client.reverify(served.sid, prescreen=False))
         assert doc["incremental"] is True
-        assert doc["ok"] == inc.ok
-        assert doc["error_listing"] == inc.result.error_listing()
-        assert doc["summary_listing"] == inc.result.summary_listing()
         assert doc["profile"]["pool"]["edits_shipped"] == 1
 
     def test_bad_jobs_rejected(self, client):
@@ -238,6 +207,41 @@ class TestPooledOverHttp:
             with pytest.raises(ServerError) as exc:
                 client.create(path=SHIFTER, jobs=bad)
             assert exc.value.status == 400
+
+
+class TestServeProcess:
+    def test_scald_serve_round_trip(self):
+        """``python -m repro.server --port 0`` prints its port and serves:
+        load, verify, an edit that breaks the design and a reverify, then
+        a pooled session whose second run reuses its workers."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.server", "--port", "0"],
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            port = json.loads(proc.stdout.readline())["port"]
+            client = SessionClient("127.0.0.1", port)
+            assert client.health()["ok"]
+            edit = WireDelayEdit("AFTER 1", (0.0, 25.0))
+            served = oracle.Served(client, SHIFTER)
+            assert served.verify()["ok"]
+            doc = served.step(edit)
+            assert doc["incremental"] and not doc["ok"]
+
+            pooled = oracle.Served(client, SHIFTER, jobs=2)
+            pooled.verify()
+            pool = pooled.verify()["profile"]["pool"]
+            assert pool["workers"] == 2 and pool["pool_starts"] == 1
+            assert pool["runs"] == 2 and pool["warm_runs"] >= 1
+            # Dropping a session closes its pool; terminating the server
+            # alone would leave the pool's workers behind.
+            client.delete(served.sid)
+            client.delete(pooled.sid)
+            client.close()
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
 
 
 class TestStaticOverHttp:

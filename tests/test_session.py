@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Session, TimingVerifier, VerifyConfig
+from repro import Session, TimingVerifier, VerifyConfig, oracle
 from repro.hdl.expander import MacroExpander
 from repro.incremental import ConstraintsEdit
 
@@ -19,15 +19,7 @@ class TestSessionVerify:
     @pytest.mark.parametrize("path", [SHIFTER, MULTICYCLE])
     def test_matches_one_shot_verifier(self, path):
         """A session's full run is byte-identical to TimingVerifier's."""
-        session = Session.from_file(path)
-        got = session.verify()
-        want = TimingVerifier(_expand(path)).verify()
-        assert got.error_listing() == want.error_listing()
-        assert got.xref_assumed_stable == want.xref_assumed_stable
-        for case in range(len(want.cases)):
-            assert got.summary_listing(case=case) == want.summary_listing(
-                case=case
-            )
+        oracle.Reverify(Session.from_file(path)).verify()
 
     def test_verifier_facade_is_a_session(self):
         """TimingVerifier still works (it delegates to a one-shot session)."""
@@ -44,11 +36,9 @@ class TestSessionVerify:
         assert session.runs == 2
 
     def test_repeated_runs_identical(self):
-        session = Session.from_file(SHIFTER)
-        first = session.verify()
-        second = session.verify()
-        assert first.error_listing() == second.error_listing()
-        assert first.summary_listing() == second.summary_listing()
+        session = oracle.Reverify(Session.from_file(SHIFTER))
+        session.verify()
+        session.verify()
 
     def test_from_source(self):
         source = open(SHIFTER).read()
@@ -56,7 +46,7 @@ class TestSessionVerify:
         assert result.ok
 
     def test_config_respected(self):
-        config = VerifyConfig(memoize_evaluation=False)
+        config = VerifyConfig().naive()
         session = Session.from_file(SHIFTER, config=config)
         result = session.verify()
         assert result.ok

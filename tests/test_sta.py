@@ -9,6 +9,7 @@ matrix and property-style under hypothesis.
 
 import glob
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -498,10 +499,22 @@ class TestSurfaces:
         assert main(["/nonexistent/x.scald"]) == 2
 
     def test_scald_tv_crosscheck(self, capsys):
+        """Every shipped design, with and without its sibling .sdc: the
+        static windows enclose the engine's transitions, and each design
+        verifies clean under its constraints."""
         from repro.cli import main
 
-        assert main(["examples/designs/shifter.scald", "--crosscheck"]) == 0
-        assert "crosscheck: static windows enclose" in capsys.readouterr().out
+        for path in sorted(glob.glob("examples/designs/*.scald")):
+            sdc = path.removesuffix(".scald") + ".sdc"
+            runs = [[path]] + ([[path, "--sdc", sdc]] if Path(sdc).exists() else [])
+            for argv in runs:
+                rc = main([*argv, "--crosscheck"])
+                out = capsys.readouterr().out
+                assert "crosscheck: static windows enclose" in out, argv
+                assert "crosscheck FAILED" not in out, argv
+                clean = "No setup, hold or minimum pulse width errors" in out
+                assert rc == (0 if clean else 1), argv
+                assert clean or "--sdc" not in argv, argv
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 The word-level engine must be *undetectable* from the outside: for every
 design, its violation report, assumed-stable cross-reference, and verdict
-must match the bit-blasted scalar oracle byte-for-byte after canonical
-per-bit expansion (``repro.wordcheck``).  These tests pin the WordWave
-value type's canonical form, the engine's divergence bookkeeping, and the
-differential across the example designs, a synthetic size x seed matrix,
-and a hypothesis-driven sweep.
+must match the bit-blasted scalar circuit byte-for-byte after canonical
+per-bit expansion (``repro.oracle.bitblast``).  These tests pin the
+WordWave value type's canonical form, the engine's divergence
+bookkeeping, and the differential across the example designs, a
+synthetic size x seed matrix, and a hypothesis-driven sweep.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import oracle
+from repro.constraints import load_constraints
 from repro.core.values import CHANGE, ONE, STABLE, ZERO
 from repro.core.verifier import TimingVerifier
 from repro.core.waveform import Waveform
@@ -25,15 +27,19 @@ from repro.hdl.expander import MacroExpander
 from repro.netlist import bit_blast
 from repro.netlist.bitblast import blast_width
 from repro.netlist.circuit import Circuit
-from repro.wordcheck import (
-    assert_word_equivalent,
-    per_bit_violation_lines,
-    per_bit_xref,
-)
 from repro.workloads.synth import SynthConfig, generate
 
 PERIOD = 50_000
 DESIGNS = Path(__file__).resolve().parent.parent / "examples" / "designs"
+
+#: Every shipped design without constraints, and with its sibling .sdc
+#: when it has one.
+SHIPPED = [
+    pytest.param(path.stem, with_sdc, id=f"{with_sdc}-{path.stem}")
+    for path in sorted(DESIGNS.glob("*.scald"))
+    for with_sdc in (False, True)
+    if not with_sdc or path.with_suffix(".sdc").exists()
+]
 
 W_STABLE = Waveform.constant(PERIOD, STABLE)
 W_ZERO = Waveform.constant(PERIOD, ZERO)
@@ -130,65 +136,29 @@ class TestLaneGroups:
             assert out.lane(i) == f(a.lane(i), b.lane(i))
 
 
-def _verify_both(build):
-    """(word result, blast result, word circuit) for one builder."""
-    word_circuit = build()
-    word = TimingVerifier(word_circuit).verify()
-    blast = TimingVerifier(bit_blast(build())).verify()
-    return word, blast, word_circuit
-
-
 class TestDifferentialExamples:
-    @pytest.mark.parametrize(
-        "name", ["shifter", "multicycle", "recovery"]
-    )
-    @pytest.mark.parametrize("with_sdc", [False, True])
+    @pytest.mark.parametrize("name,with_sdc", SHIPPED)
     def test_examples_byte_identical(self, name, with_sdc):
-        path = DESIGNS / f"{name}.scald"
-        sdc = DESIGNS / f"{name}.sdc"
-        if with_sdc and not sdc.exists():
-            pytest.skip(f"{name} has no .sdc file")
-
-        def run(blasted: bool):
-            # The CLI contract: constraints always resolve against the
-            # vector circuit first, then --bit-blast expands it.
-            circuit = MacroExpander.from_file(str(path)).expand()
-            constraints = None
-            if with_sdc:
-                from repro.constraints import load_constraints
-
-                constraints = load_constraints(str(sdc), circuit)
-            if blasted:
-                circuit = bit_blast(circuit)
-            return TimingVerifier(circuit, constraints=constraints).verify()
-
-        word_circuit = MacroExpander.from_file(str(path)).expand()
-        word = run(blasted=False)
-        blast = run(blasted=True)
-        assert_word_equivalent(word, blast, word_circuit)
+        circuit = MacroExpander.from_file(str(DESIGNS / f"{name}.scald")).expand()
+        constraints = None
+        if with_sdc:
+            constraints = load_constraints(str(DESIGNS / f"{name}.sdc"), circuit)
+        oracle.bitblast(circuit, constraints)
 
     def test_word_mode_saves_events(self):
         path = DESIGNS / "shifter.scald"
-        word = TimingVerifier(MacroExpander.from_file(str(path)).expand()).verify()
-        blast = TimingVerifier(
-            bit_blast(MacroExpander.from_file(str(path)).expand())
-        ).verify()
+        word, blast = oracle.bitblast(MacroExpander.from_file(str(path)).expand())
         assert blast.stats.events >= 3 * word.stats.events
 
 
 class TestDifferentialSynthetic:
     @pytest.mark.parametrize(
-        "chips,seed", [(60, 3), (120, 7), (120, 1980), (250, 7)]
+        "chips,seed",
+        [(60, 3), (120, 7), (120, 1980), (250, 7), (60, 1), (200, 7), (500, 1980)],
     )
     def test_synth_matrix_byte_identical(self, chips, seed):
-        def build():
-            circuit, _stats = generate(
-                SynthConfig(chips=chips, seed=seed)
-            ).circuit()
-            return circuit
-
-        word, blast, circuit = _verify_both(build)
-        assert_word_equivalent(word, blast, circuit)
+        circuit, _stats = generate(SynthConfig(chips=chips, seed=seed)).circuit()
+        word, blast = oracle.bitblast(circuit)
         assert word.ok and blast.ok  # synth designs verify clean
         assert blast.stats.events >= 3 * word.stats.events
 
@@ -199,10 +169,7 @@ class TestDifferentialSynthetic:
     )
     def test_synth_property(self, chips, seed):
         circuit, _stats = generate(SynthConfig(chips=chips, seed=seed)).circuit()
-        word = TimingVerifier(circuit).verify()
-        circuit2, _stats = generate(SynthConfig(chips=chips, seed=seed)).circuit()
-        blast = TimingVerifier(bit_blast(circuit2)).verify()
-        assert_word_equivalent(word, blast, circuit)
+        oracle.bitblast(circuit)
 
 
 def _diverged_design() -> Circuit:
@@ -226,8 +193,7 @@ def _diverged_design() -> Circuit:
 
 class TestDivergedLanes:
     def test_lane_case_violations_byte_identical(self):
-        word, blast, circuit = _verify_both(_diverged_design)
-        assert_word_equivalent(word, blast, circuit)
+        word, _blast = oracle.bitblast(_diverged_design())
         # Six active lanes, one setup + one hold record each.
         assert len(word.violations) == 12
         assert {v.signal for v in word.violations} == {
@@ -236,7 +202,7 @@ class TestDivergedLanes:
         assert all(v.component.startswith("su [") for v in word.violations)
 
     def test_diverged_stats_counters(self):
-        word, _blast, _circuit = _verify_both(_diverged_design)
+        word, _blast = oracle.bitblast(_diverged_design())
         s = word.stats
         assert s.lane_splits >= 1
         assert s.vector_events >= 1
@@ -255,8 +221,7 @@ class TestBroadcastDrivers:
     def test_fig_2_5_scalar_mux_broadcasts(self):
         from repro.workloads.figures import fig_2_5_register_file
 
-        word, blast, circuit = _verify_both(fig_2_5_register_file)
-        assert_word_equivalent(word, blast, circuit)
+        word, _blast = oracle.bitblast(fig_2_5_register_file())
         # The word run reproduces the exact Figure 3-11 report: two
         # unsuffixed records, not a per-lane expansion.
         assert [v.component for v in word.violations] == [
@@ -304,16 +269,19 @@ class TestWordValueAccessor:
 
 class TestCanonicalExpansion:
     def test_unsuffixed_record_expands_by_blast_width(self):
-        word, blast, circuit = _verify_both(
-            __import__(
-                "repro.workloads.figures", fromlist=["fig_2_5_register_file"]
-            ).fig_2_5_register_file
-        )
-        lines = per_bit_violation_lines(word, circuit)
+        from repro.workloads.figures import fig_2_5_register_file
+
+        circuit = fig_2_5_register_file()
+        word, blast = oracle.bitblast(circuit)
+        lines = oracle.observe(word, circuit).bit_violations
         # 32-wide out reg/su + 4-wide rf/su addr = 36 canonical lines.
         assert len(lines) == 36
-        assert lines == per_bit_violation_lines(blast, circuit)
+        assert lines == oracle.observe(blast, circuit).bit_violations
 
     def test_xref_expansion_matches(self):
-        word, blast, circuit = _verify_both(_diverged_design)
-        assert per_bit_xref(word, circuit) == per_bit_xref(blast, circuit)
+        circuit = _diverged_design()
+        word, blast = oracle.bitblast(circuit)
+        assert (
+            oracle.observe(word, circuit).bit_xref
+            == oracle.observe(blast, circuit).bit_xref
+        )
