@@ -192,23 +192,27 @@ def _lane_lookup(table: dict, name: str):
 def input_delay_spans(
     spec: InputDelay, circuit, config, timebase
 ) -> list[tuple[int, int]]:
-    """The change windows an input-delay constraint declares, in ps.
+    """The change windows an input-delay constraint declares, in ps: from
+    ``min`` after the start to ``max`` after the end of each window that
+    may hold a rise of the clock (``repro.sta.windows.rising_runs``).
 
-    Shared by the engine (which paints CHANGE over these spans) and the
-    static analysis (which uses them as the net's rise/fall windows) so
-    the two sides see byte-identical intervals at the run's ``timebase``.
+    Shared by the engine (which paints CHANGE over these spans), the
+    static pass and the parametric pass (which use them as the net's
+    rise/fall windows), so all three see the same intervals at the run's
+    ``timebase``.
     """
     net = circuit.nets.get(spec.clock)
     if net is None:
         return []
-    rep = circuit.find(net)
-    assertion = rep.assertion
+    assertion = circuit.find(net).assertion
     if assertion is None or not assertion.kind.is_clock:
         return []
-    skew = config.clock_skew_ns(assertion.kind.name == "PRECISION_CLOCK")
-    wf = assertion.waveform(timebase, skew).materialized()
+    # Imported here: a run without input delays never loads repro.sta.
+    from ..sta.windows import rising_runs
+
     return [
-        (r0 + spec.min_ps, r1 + spec.max_ps) for r0, r1 in wf.rising_windows()
+        (r0 + spec.min_ps, r1 + spec.max_ps)
+        for r0, r1 in rising_runs(assertion, timebase, config)
     ]
 
 

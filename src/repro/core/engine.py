@@ -121,10 +121,6 @@ class EngineStats:
     reused_waveforms: int = 0
 
     @property
-    def events_last_case(self) -> int:
-        return self.events_by_case[-1] if self.events_by_case else 0
-
-    @property
     def evaluations_saved(self) -> int:
         """Primitive evaluations answered from the memo instead of a model run."""
         return self.memo_hits

@@ -36,7 +36,6 @@ from .values import (
     value_not,
 )
 from .waveform import Waveform
-from .wordwave import WordWave, word_apply
 
 GateFn = Callable[[Sequence[Waveform]], Waveform]
 
@@ -294,104 +293,6 @@ def _latch_value(en: Value, d: Value, held: Value) -> Value:
     if is_stable(d) and is_stable(held):
         return d if (is_constant(d) and d == held) else STABLE
     return CHANGE
-
-
-def eval_gate_word(
-    prim_name: str,
-    inputs: Sequence[WordWave],
-    delay: tuple[int, int],
-    inverting: bool,
-    width: int | None = None,
-) -> WordWave:
-    """Word-level gate evaluation: one model run per divergence group.
-
-    Exactly :func:`eval_gate` applied lane-by-lane, but shared across all
-    lanes whose inputs coincide — with fully uniform vectors (the common
-    case) a single scalar evaluation covers the whole word.
-    """
-    return word_apply(
-        lambda *lanes: eval_gate(prim_name, lanes, delay, inverting),
-        inputs,
-        width,
-    )
-
-
-def eval_mux_word(
-    selects: Sequence[WordWave],
-    data: Sequence[WordWave],
-    delay: tuple[int, int],
-    select_delay: tuple[int, int],
-    width: int | None = None,
-) -> WordWave:
-    """Word-level multiplexer: :func:`eval_mux` once per divergence group."""
-    n_sel = len(selects)
-    return word_apply(
-        lambda *lanes: eval_mux(
-            lanes[:n_sel], lanes[n_sel:], delay=delay, select_delay=select_delay
-        ),
-        [*selects, *data],
-        width,
-    )
-
-
-def eval_register_word(
-    clock: WordWave,
-    data: WordWave,
-    delay: tuple[int, int],
-    set_: WordWave | None = None,
-    reset: WordWave | None = None,
-    width: int | None = None,
-) -> WordWave:
-    """Word-level register: :func:`eval_register` once per divergence group."""
-    period = clock.period
-    zero = Waveform.constant(period, ZERO)
-    inputs = [
-        clock,
-        data,
-        set_ if set_ is not None else WordWave.uniform(1, zero),
-        reset if reset is not None else WordWave.uniform(1, zero),
-    ]
-    return word_apply(
-        lambda ck, d, s, r: eval_register(
-            clock=ck,
-            data=d,
-            delay=delay,
-            set_=None if set_ is None else s,
-            reset=None if reset is None else r,
-        ),
-        inputs,
-        width,
-    )
-
-
-def eval_latch_word(
-    enable: WordWave,
-    data: WordWave,
-    delay: tuple[int, int],
-    set_: WordWave | None = None,
-    reset: WordWave | None = None,
-    width: int | None = None,
-) -> WordWave:
-    """Word-level latch: :func:`eval_latch` once per divergence group."""
-    period = enable.period
-    zero = Waveform.constant(period, ZERO)
-    inputs = [
-        enable,
-        data,
-        set_ if set_ is not None else WordWave.uniform(1, zero),
-        reset if reset is not None else WordWave.uniform(1, zero),
-    ]
-    return word_apply(
-        lambda en, d, s, r: eval_latch(
-            enable=en,
-            data=d,
-            delay=delay,
-            set_=None if set_ is None else s,
-            reset=None if reset is None else r,
-        ),
-        inputs,
-        width,
-    )
 
 
 def eval_latch(

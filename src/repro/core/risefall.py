@@ -27,7 +27,6 @@ from .values import (
     RISE,
     UNKNOWN,
     Value,
-    transition_value,
 )
 from .waveform import Waveform
 
@@ -37,14 +36,6 @@ Delay = tuple[int, int]
 def combined_range(rise: Delay, fall: Delay) -> Delay:
     """The value-independent fallback range."""
     return (min(rise[0], fall[0]), max(rise[1], fall[1]))
-
-
-def _directional(tv: Value, rise: Delay, fall: Delay) -> Delay:
-    if tv is RISE:
-        return rise
-    if tv is FALL:
-        return fall
-    return combined_range(rise, fall)
 
 
 def rise_fall_delayed(wf: Waveform, rise: Delay, fall: Delay) -> Waveform:

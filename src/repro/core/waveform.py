@@ -34,12 +34,10 @@ from .values import (
     CHANGE,
     CHANGING_VALUES,
     FALL,
-    ONE,
     RISE,
     STABLE,
     STABLE_VALUES,
     UNKNOWN,
-    ZERO,
     Value,
     transition_value,
 )
@@ -151,13 +149,6 @@ class InternTable:
 _INTERN_TABLE: "weakref.WeakValueDictionary[tuple, Waveform]" = (
     weakref.WeakValueDictionary()
 )
-#: Cumulative intern-table statistics (read by the engine's counters).
-_INTERN_STATS = {"hits": 0, "misses": 0}
-
-
-def intern_stats() -> tuple[int, int]:
-    """Cumulative ``(hits, misses)`` of the waveform intern table."""
-    return _INTERN_STATS["hits"], _INTERN_STATS["misses"]
 
 
 def _restore_waveform(
@@ -275,10 +266,8 @@ class Waveform:
         key = (self.period, self.segments, self.skew, self.eval_str)
         existing = _INTERN_TABLE.get(key)
         if existing is not None:
-            _INTERN_STATS["hits"] += 1
             return existing
         _INTERN_TABLE[key] = self
-        _INTERN_STATS["misses"] += 1
         return self
 
     @classmethod
@@ -311,10 +300,6 @@ class Waveform:
     @property
     def has_skew(self) -> bool:
         return self.skew != (0, 0)
-
-    @property
-    def skew_width(self) -> int:
-        return self.skew[1] - self.skew[0]
 
     @property
     def is_constant(self) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from ..core.timeline import Timebase, ns_to_ps
 from ..hdl.assertions import Assertion, parse_signal_name
@@ -583,24 +583,6 @@ class Circuit:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-
-    def drivers_of(self, net: Net) -> list[tuple[Component, str]]:
-        rep = self.find(net)
-        out = []
-        for comp in self.components.values():
-            for pin, conn in comp.output_pins():
-                if self.find(conn.net) is rep:
-                    out.append((comp, pin))
-        return out
-
-    def loads_of(self, net: Net) -> list[tuple[Component, str]]:
-        rep = self.find(net)
-        out = []
-        for comp in self.components.values():
-            for pin, conn in comp.input_pins():
-                if self.find(conn.net) is rep:
-                    out.append((comp, pin))
-        return out
 
     def iter_components(self) -> Iterator[Component]:
         return iter(self.components.values())

@@ -290,7 +290,16 @@ class _Worker:
             "block": self._do_block,
             "fetch": self._do_fetch,
         }
+        # The pid this worker was forked from: a worker whose parent died
+        # (SIGKILL sends no "quit", and sibling workers hold its pipe open)
+        # sees another parent and exits.  The poll still wakes at once on a
+        # request.
+        parent = multiprocessing.parent_process().pid
         while True:
+            if not self.conn.poll(1.0):
+                if os.getppid() != parent:
+                    break
+                continue
             try:
                 msg = self.conn.recv()
             except (EOFError, OSError):

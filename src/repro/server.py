@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 import threading
 from http.client import HTTPConnection
@@ -99,6 +100,15 @@ class SessionStore:
             raise ServerError(404, f"no such session: {sid}")
         with entry.lock:
             entry.session.close()  # reap the session's worker pool, if any
+
+    def close_all(self) -> None:
+        """Close every open session, reaping their worker pools."""
+        with self._lock:
+            entries = list(self._entries.values())
+            self._entries.clear()
+        for entry in entries:
+            with entry.lock:
+                entry.session.close()
 
     def listing(self) -> list[dict]:
         with self._lock:
@@ -398,11 +408,14 @@ def main(argv: list[str] | None = None) -> int:
         json.dumps({"host": args.host, "port": server.port}),
         flush=True,
     )
+    # SIGTERM exits like Ctrl-C, so the sessions' worker pools are reaped.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
+    except KeyboardInterrupt:
         pass
     finally:
+        server.store.close_all()
         server.server_close()
     return 0
 

@@ -331,7 +331,7 @@ def _as_aff(x) -> Aff | None:
 
 
 # ---------------------------------------------------------------------------
-# the parametric timebase and source windows
+# the parametric timebase
 # ---------------------------------------------------------------------------
 
 
@@ -344,123 +344,20 @@ class ParamTimebase:
     The concrete timebase rounds each derived time to an integer picosecond;
     that rounding is a step function of ``T``, so the parametric pass keeps
     the exact rational form and leaves integer truth to the concrete
-    confirmation passes of the solvers.
+    confirmation passes of the solvers.  The fixed-source windows
+    (``windows.assertion_windows``, ``input_delay_spans``) read only
+    ``period_ps`` and ``units_to_ps``, so the builder the concrete pass
+    uses yields affine bounds over this timebase.
     """
 
-    __slots__ = ("base", "period_ps", "_unit_slope")
+    __slots__ = ("period_ps", "_unit_slope")
 
     def __init__(self, base: Timebase) -> None:
-        self.base = base
         self.period_ps = Aff(0, 1)
         self._unit_slope = Fraction(base.clock_unit_ps) / base.period_ps
 
     def units_to_ps(self, units) -> Aff:
         return Aff(0, Fraction(str(units)) * self._unit_slope)
-
-    def wrap(self, t_ps):
-        return t_ps % self.period_ps
-
-
-def _clock_edge_windows(
-    assertion, timebase: ParamTimebase, period: Aff, skew: tuple[int, int]
-) -> tuple[IntervalSet, IntervalSet]:
-    """(may-rise, may-fall) of a clock assertion, affine bounds.
-
-    Mirror of ``waveform_windows(assertion.waveform(...))``: the asserted
-    ranges paint one level over the other, so after the union each span
-    start/end is one edge instant, widened by the skew to ``[t+early,
-    t+late]``.  Overlapping skew windows of opposite edges materialize as
-    CHANGE — which lands in *both* direction sets concretely, but never
-    extends past the union of the per-edge paints, so per-direction unions
-    are exactly the concrete windows.
-    """
-    bounds = [r.bounds_ps(timebase) for r in assertion.ranges]
-    bounds = [(lo, hi) for lo, hi in bounds if hi > lo]  # zero-width paints vanish
-    level = IntervalSet(period, bounds)
-    empty = IntervalSet.empty(period)
-    if level.is_full or level.is_empty:
-        return empty, empty  # constant level: no edges
-    early, late = skew
-    rises: list[tuple] = []
-    falls: list[tuple] = []
-    for lo, hi in level.spans:
-        r, f = (lo, hi) if not assertion.low else (hi, lo)
-        rises.append((r + early, r + late))
-        falls.append((f + early, f + late))
-    return IntervalSet(period, rises), IntervalSet(period, falls)
-
-
-def _stable_windows(
-    assertion, timebase: ParamTimebase, period: Aff
-) -> tuple[IntervalSet, IntervalSet]:
-    """Change windows of a ``.S`` stable assertion, affine bounds.
-
-    STABLE is painted over the ranges, CHANGE elsewhere; the change windows
-    are the circular complement of the stable union, endpoints included
-    (the STABLE/CHANGE boundaries contribute their instants concretely, and
-    interval-set spans are closed).
-    """
-    bounds = [r.bounds_ps(timebase) for r in assertion.ranges]
-    bounds = [(lo, hi) for lo, hi in bounds if hi > lo]
-    stable = IntervalSet(period, bounds)
-    if stable.is_full:
-        win = IntervalSet.empty(period)
-    elif stable.is_empty:
-        win = IntervalSet.everywhere(period)
-    else:
-        spans = stable.spans
-        gaps = []
-        for i, (_lo, hi) in enumerate(spans):
-            nxt = spans[i + 1][0] if i + 1 < len(spans) else spans[0][0] + period
-            gaps.append((hi, nxt))
-        win = IntervalSet(period, gaps)
-    return win, win
-
-
-def _param_source_windows(
-    circuit: Circuit,
-    config: VerifyConfig,
-    rep: Net,
-    timebase: ParamTimebase,
-    constraints=None,
-) -> tuple[IntervalSet, IntervalSet]:
-    """Affine twin of ``windows._source_windows`` (same signature)."""
-    period = timebase.period_ps
-    empty = IntervalSet.empty(period)
-    if rep.base_name.upper() in _SUPPLY:
-        return empty, empty
-    assertion = rep.assertion
-    if assertion is not None and assertion.kind.is_clock:
-        skew = assertion.skew_ps(
-            config.clock_skew_ns(assertion.kind.name == "PRECISION_CLOCK")
-        )
-        return _clock_edge_windows(assertion, timebase, period, skew)
-    if assertion is not None:
-        return _stable_windows(assertion, timebase, period)
-    if constraints is not None:
-        spec = constraints.input_delay_for(rep.name)
-        if spec is not None:
-            clock_net = circuit.nets.get(spec.clock)
-            if clock_net is not None:
-                clock_rep = circuit.find(clock_net)
-                a = clock_rep.assertion
-                if a is not None and a.kind.is_clock:
-                    # Mirror of constraints.input_delay_spans: the port
-                    # changes [min, max] after each clock rise window.
-                    skew = a.skew_ps(
-                        config.clock_skew_ns(a.kind.name == "PRECISION_CLOCK")
-                    )
-                    rise, _fall = _clock_edge_windows(a, timebase, period, skew)
-                    if not (rise.is_empty or rise.is_full):
-                        win = IntervalSet(
-                            period,
-                            [
-                                (r0 + spec.min_ps, r1 + spec.max_ps)
-                                for r0, r1 in rise.spans
-                            ],
-                        )
-                        return win, win
-    return empty, empty
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +384,11 @@ def run_parametric(
 ) -> ParametricRun:
     """Run the window + slack passes with bounds affine in the period.
 
-    The existing passes run unmodified over a :class:`ParamTimebase`, the
-    circuit's timebase with the period as the symbol ``T``, through the
-    ``source_windows`` hook; the circuit itself is left alone.  Not
-    reentrant — module-level context — which matches every caller (the
-    solvers run passes sequentially).
+    The concrete passes run unmodified over a :class:`ParamTimebase`, the
+    circuit's timebase with the period as the symbol ``T``; the circuit
+    itself is left alone.  At the sample period every window equals the
+    concrete pass's there.  Not reentrant — module-level context — which
+    matches every caller (the solvers run passes sequentially).
     """
     global _CTX
     config = config or VerifyConfig()
@@ -504,11 +401,7 @@ def run_parametric(
     _CTX = region
     try:
         analysis = compute_windows(
-            circuit,
-            config,
-            constraints,
-            timebase=ParamTimebase(base),
-            source_windows=_param_source_windows,
+            circuit, config, constraints, timebase=ParamTimebase(base)
         )
         records = compute_slack(circuit, analysis, constraints)
     finally:
@@ -657,10 +550,9 @@ def _region_candidate(run: ParametricRun, baseline_overflow):
 
 #: Parametric passes the static region walk takes before it settles.
 _MAX_PASSES = 24
-#: One-picosecond steps the static confirmation walk takes before bisecting.
-_MAX_WALK = 64
 #: Doublings of a violating period while looking for a clean ceiling, in
-#: the static walk and in both engine searches.
+#: both engine searches, and of the static search's step up from a
+#: violating guess.
 _MAX_DOUBLINGS = 16
 
 
@@ -675,9 +567,10 @@ def solve_static_fmax(
     affine slack over a validity region; the intersection of their roots
     proposes the next sample.  When the proposal falls inside the region it
     is the static root up to rounding (the concrete timebase rounds each
-    derived time, the affine forms do not) — a short concrete-integer walk
-    then pins the exact boundary: static-clean(T_s) and not
-    static-clean(T_s - 1).
+    derived time, the affine forms do not) — concrete passes galloping
+    away from it to a bracket, then bisecting it, pin the exact boundary:
+    static-clean(T_s) and not static-clean(T_s - 1), in a number of passes
+    logarithmic in the distance from the guess.
     """
     config = config or VerifyConfig()
     design_period = circuit.timebase.period_ps
@@ -760,7 +653,7 @@ def solve_static_fmax(
         # it — the usual outcome, since only clock-edge rounding separates
         # the exact root from the concrete one.
         if in_region and candidate > 1 and clean(candidate - 1):
-            guess = candidate - 1  # boundary is lower; phase 2 walks down
+            guess = candidate - 1  # boundary is lower; phase 2 gallops down
             break
         if candidate > 1 and clean(candidate) and not clean(candidate - 1):
             break
@@ -781,57 +674,47 @@ def solve_static_fmax(
             baseline_overflow=baseline_overflow,
         )
 
-    # Phase 2: concrete-integer confirmation walk around the guess.
+    # Phase 2: gallop from the guess to a bracket, probing 1, 2, 4, ... ps
+    # away (a boundary next to the guess costs a probe or two, a far one a
+    # logarithmic number), then bisect it down to static-clean(t) and not
+    # static-clean(t - 1).  Clean all the way down ends at 1 ps: not
+    # period-limited (below).  1 ps alone decides nothing: recovery.scald
+    # is static-clean there, violating at 2 ps and clean again from
+    # 21,998 ps.
     t = max(1, guess)
-    steps = 0
+    step = 1
     if clean(t):
-        while t > 1 and clean(t - 1) and steps < _MAX_WALK:
-            t -= 1
-            steps += 1
-        if t > 1 and clean(t - 1):
-            # Guess was far high: halve down to a violating floor, then
-            # bisect, as bisect_fmax does.  Clean all the way down ends at
-            # 1 ps: not period-limited (below).  1 ps alone decides
-            # nothing: recovery.scald is static-clean there, violating at
-            # 2 ps and clean again from 21,998 ps.
-            lo_v = t // 2
-            while clean(lo_v):  # clean(0) is False
-                t, lo_v = lo_v, lo_v // 2
-            while t - lo_v > 1:
-                mid = (lo_v + t) // 2
-                if clean(mid):
-                    t = mid
-                else:
-                    lo_v = mid
+        lo_v, hi_c = 0, t  # clean(0) is False
+        while hi_c > 1:
+            probe = max(1, t - step)
+            if not clean(probe):
+                lo_v = probe
+                break
+            hi_c, step = probe, 2 * step
     else:
-        while not clean(t) and steps < _MAX_WALK:
-            t += 1
-            steps += 1
-        if not clean(t):
-            # Guess was far low: bisect up against a known-clean ceiling.
-            hi_c = max(design_period, t + 1)
-            doublings = 0
-            while not clean(hi_c) and doublings < _MAX_DOUBLINGS:
-                hi_c *= 2
-                doublings += 1
-            if not clean(hi_c):
-                return StaticFmax(
-                    period_limited=True,
-                    period_ps=None,
-                    binding=None,
-                    slope=binding_slope,
-                    passes=passes,
-                    static_evals=evals,
-                    baseline_overflow=baseline_overflow,
-                )
-            lo_v = t
-            while hi_c - lo_v > 1:
-                mid = (lo_v + hi_c) // 2
-                if clean(mid):
-                    hi_c = mid
-                else:
-                    lo_v = mid
-            t = hi_c
+        lo_v = t
+        for _ in range(_MAX_DOUBLINGS + 1):
+            if clean(t + step):
+                hi_c = t + step
+                break
+            lo_v, step = t + step, 2 * step
+        else:
+            return StaticFmax(
+                period_limited=True,
+                period_ps=None,
+                binding=None,
+                slope=binding_slope,
+                passes=passes,
+                static_evals=evals,
+                baseline_overflow=baseline_overflow,
+            )
+    while hi_c - lo_v > 1:
+        mid = (lo_v + hi_c) // 2
+        if clean(mid):
+            hi_c = mid
+        else:
+            lo_v = mid
+    t = hi_c
 
     if t <= 1 and clean(1):
         return StaticFmax(

@@ -309,12 +309,6 @@ class WindowAnalysis:
     def of(self, net: Net) -> tuple[IntervalSet, IntervalSet]:
         return self.windows[self.circuit.find(net)]
 
-    def _of_conn(self, conn: Connection) -> tuple[IntervalSet, IntervalSet]:
-        rep = self._rep_of.get(id(conn))
-        if rep is None:
-            rep = self.circuit.find(conn.net)
-        return self.windows[rep]
-
     def by_name(self, name: str) -> tuple[IntervalSet, IntervalSet]:
         net = self.circuit.nets.get(name)
         if net is None:
@@ -511,6 +505,88 @@ def _is_fixed_source(rep: Net, driven: bool) -> bool:
     return not driven
 
 
+def _asserted(assertion, timebase) -> IntervalSet:
+    """The union of an assertion's ranges; a zero-width range paints
+    nothing."""
+    bounds = [r.bounds_ps(timebase) for r in assertion.ranges]
+    return IntervalSet(
+        timebase.period_ps, [(lo, hi) for lo, hi in bounds if hi > lo]
+    )
+
+
+def _clock_edges(assertion, timebase, config: VerifyConfig):
+    """The (rise, fall) edge windows of a clock assertion, as raw spans.
+
+    Each edge of the asserted level is widened by the skew to ``[t +
+    early, t + late]``, as ``Waveform.materialized`` folds it; a constant
+    level has no edges.
+    """
+    level = _asserted(assertion, timebase)
+    if level.is_full or level.is_empty:
+        return [], []
+    early, late = assertion.skew_ps(
+        config.clock_skew_ns(assertion.kind.name == "PRECISION_CLOCK")
+    )
+    ups = [(lo + early, lo + late) for lo, _hi in level.spans]
+    downs = [(hi + early, hi + late) for _lo, hi in level.spans]
+    return (downs, ups) if assertion.low else (ups, downs)
+
+
+def assertion_windows(
+    assertion, timebase, config: VerifyConfig
+) -> tuple[IntervalSet, IntervalSet]:
+    """The (may-rise, may-fall) windows of a net an assertion pins.
+
+    Equal to ``waveform_windows(assertion.waveform(timebase, skew))``, but
+    built from the asserted spans with interval arithmetic alone, so the
+    same code serves a concrete timebase and the parametric one (bounds
+    affine in the period).  A clock's windows are its skewed edges: where
+    a rise and a fall window overlap the waveform holds CHANGE, which lies
+    inside both.  A stable assertion may change outside its ranges, the
+    boundary instants included.
+    """
+    period = timebase.period_ps
+    empty = IntervalSet.empty(period)
+    if assertion.kind.is_clock:
+        rises, falls = _clock_edges(assertion, timebase, config)
+        if not rises:
+            return empty, empty
+        return IntervalSet(period, rises), IntervalSet(period, falls)
+    stable = _asserted(assertion, timebase)
+    if stable.is_full:
+        return empty, empty
+    if stable.is_empty:
+        win = IntervalSet.everywhere(period)
+    else:
+        spans = stable.spans
+        nxt = [lo for lo, _hi in spans[1:]] + [spans[0][0] + period]
+        win = IntervalSet(period, [(hi, n) for (_lo, hi), n in zip(spans, nxt)])
+    return win, win
+
+
+def rising_runs(assertion, timebase, config: VerifyConfig) -> list[tuple]:
+    """The windows that may hold a rise of a clock assertion.
+
+    Equal to ``assertion.waveform(timebase, skew).rising_windows()``: the
+    maximal runs of touching or overlapping edge windows, rise and fall
+    alike, that contain a rise window (a run covering the whole period is
+    ``(0, period)``).  ``set_input_delay`` launches from these.
+    """
+    rises, falls = _clock_edges(assertion, timebase, config)
+    if not rises:
+        return []
+    period = timebase.period_ps
+    runs = IntervalSet(period, rises + falls)
+    if runs.is_full:
+        return [(0, period)]
+    starts = [r % period for r, _end in rises]
+    return [
+        (lo, hi)
+        for lo, hi in runs.spans
+        if any(lo <= r <= hi or lo <= r + period <= hi for r in starts)
+    ]
+
+
 def _source_windows(
     circuit: Circuit,
     config: VerifyConfig,
@@ -520,14 +596,11 @@ def _source_windows(
 ) -> tuple[IntervalSet, IntervalSet]:
     """Windows of a fixed-source net (supply, assertion, assumed stable)."""
     period = timebase.period_ps
+    empty = IntervalSet.empty(period)
     if rep.base_name.upper() in _SUPPLY:
-        return IntervalSet.empty(period), IntervalSet.empty(period)
-    assertion = rep.assertion
-    if assertion is not None and assertion.kind.is_clock:
-        skew = config.clock_skew_ns(assertion.kind.name == "PRECISION_CLOCK")
-        return waveform_windows(assertion.waveform(timebase, skew))
-    if assertion is not None:
-        return waveform_windows(assertion.waveform(timebase))
+        return empty, empty
+    if rep.assertion is not None:
+        return assertion_windows(rep.assertion, timebase, config)
     if constraints is not None:
         spec = constraints.input_delay_for(rep.name)
         if spec is not None:
@@ -543,7 +616,7 @@ def _source_windows(
                 return win, win
     # Assumed stable (section 2.5); the case mapping replaces STABLE with a
     # constant, which has no transitions either.
-    return IntervalSet.empty(period), IntervalSet.empty(period)
+    return empty, empty
 
 
 def _case_values(circuit: Circuit) -> dict[Net, set[Value]]:
@@ -629,17 +702,6 @@ def _may_carry_eval_str(
     return carry
 
 
-def _static_letter(
-    circuit: Circuit, conn: Connection, carry: dict[Net, bool]
-) -> tuple[str, bool]:
-    """The directive letter at this input, and whether it is certain."""
-    if conn.directives:
-        return conn.directives[0], True
-    if carry.get(circuit.find(conn.net)):
-        return "", False  # some letter may ride in on the waveform
-    return "", True
-
-
 # ---------------------------------------------------------------------------
 # the topological sweep
 # ---------------------------------------------------------------------------
@@ -680,22 +742,18 @@ def compute_windows(
     constraints=None,
     *,
     timebase=None,
-    source_windows=None,
 ) -> WindowAnalysis:
     """One-pass static arrival-window analysis of an expanded circuit.
 
     ``timebase`` runs the pass at another clock period (the circuit's own
-    by default).  ``source_windows`` replaces the fixed-source window
-    builder (:func:`_source_windows`, same signature).  The parametric
-    Fmax pass (``repro.sta.parametric``) injects a builder that yields
-    windows whose bounds are affine in the clock period, from a timebase
-    whose period is that symbol; everything downstream of the sources —
-    transfers, feedback widening, slack — is plain interval arithmetic
-    and works unchanged over either bound type.
+    by default).  The parametric Fmax pass (``repro.sta.parametric``)
+    passes a timebase whose period is the symbol ``T``: the fixed-source
+    windows (:func:`assertion_windows`, ``input_delay_spans``) then come
+    out with bounds affine in the period, and everything downstream of
+    the sources — transfers, feedback widening, slack — is plain interval
+    arithmetic and works unchanged over either bound type.
     """
     config = config or VerifyConfig()
-    if source_windows is None:
-        source_windows = _source_windows
     timebase = timebase or circuit.timebase
     period = timebase.period_ps
     gate_prims = _gate_prims()
@@ -803,7 +861,7 @@ def compute_windows(
         driven = rep in drivers
         if _is_fixed_source(rep, driven):
             fixed.add(rep)
-            analysis.windows[rep] = source_windows(
+            analysis.windows[rep] = _source_windows(
                 circuit, config, rep, timebase, constraints
             )
 
@@ -956,10 +1014,6 @@ def _gate_prims() -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # transfer functions (supersets of core/models.py)
 # ---------------------------------------------------------------------------
-
-
-def _both(sets: tuple[IntervalSet, IntervalSet]) -> IntervalSet:
-    return sets[0].union(sets[1])
 
 
 def _shifted_union(

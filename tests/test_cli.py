@@ -1,5 +1,8 @@
 """Tests for the scald-tv command-line entry point."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -353,3 +356,55 @@ class TestLintFlag:
     def test_without_flag_no_lint_output(self, clean_file, capsys):
         assert main([clean_file]) == 0
         assert "dead-net" not in capsys.readouterr().out
+
+
+#: The ``repro`` modules ``import repro.cli`` loads (scald-tv's start-up).
+CLI_MODULES = {
+    "repro", "repro.cli", "repro.core", "repro.core.algebra",
+    "repro.core.checks", "repro.core.config", "repro.core.engine",
+    "repro.core.models", "repro.core.timeline", "repro.core.values",
+    "repro.core.verifier", "repro.core.violations", "repro.core.waveform",
+    "repro.core.wordwave", "repro.hdl", "repro.hdl.assertions",
+    "repro.hdl.expander", "repro.hdl.expr", "repro.hdl.parser",
+    "repro.incremental", "repro.lint", "repro.lint.diagnostics",
+    "repro.lint.registry", "repro.lint.runner", "repro.netlist",
+    "repro.netlist.bitblast", "repro.netlist.circuit",
+    "repro.netlist.primitives", "repro.netlist.validate", "repro.reporting",
+    "repro.reporting.diagram", "repro.reporting.explain",
+    "repro.reporting.lintfmt", "repro.reporting.listing",
+    "repro.reporting.stafmt", "repro.reporting.stats", "repro.session",
+}
+#: The ``repro`` modules ``import repro.server`` loads (scald-serve's).
+SERVER_MODULES = (
+    CLI_MODULES
+    - {"repro.cli", "repro.hdl.expander", "repro.hdl.expr"}
+    | {"repro.server"}
+)
+
+
+class TestStartupModules:
+    """A one-shot ``scald-tv`` run pays for every module its import loads,
+    before it reads the design.  The static analysis, the constraint
+    front-end, the differential oracle and the worker pool load only when
+    a run asks for them."""
+
+    @pytest.mark.parametrize(
+        "module, expected",
+        [("repro.cli", CLI_MODULES), ("repro.server", SERVER_MODULES)],
+    )
+    def test_import_loads_only_its_modules(self, module, expected):
+        code = (
+            f"import sys, {module}\n"
+            "print('\\n'.join(n for n in sys.modules"
+            " if n == 'repro' or n.startswith('repro.')))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        loaded = set(out.split())
+        assert loaded == expected
+        lazy = (
+            "repro.sta", "repro.constraints", "repro.oracle", "repro.parallel"
+        )
+        assert not [m for m in loaded if m.startswith(lazy)]

@@ -26,7 +26,7 @@ from repro.core.engine import Engine
 from repro.core.timeline import scaled_timebase
 from repro.core.verifier import TimingVerifier
 from repro.core.violations import ViolationKind
-from repro.sta import analyze
+from repro.sta import analyze, compute_windows
 from repro.sta.parametric import (
     Aff,
     StaticFmax,
@@ -153,6 +153,34 @@ class TestParametricMatchesConcrete:
                 f"T={period} != concrete {twin.slack_ps}"
             )
 
+    def test_input_delay_windows_at_the_sample_equal_concrete(self):
+        """The parametric pass builds its source windows with the concrete
+        pass's own builder, so at its sample period every window is the
+        concrete one.  The skewed rise (7.5-17.5 ns) and fall (13.75-23.75
+        ns) of a ``.C2-3`` clock overlap into one run, and the port
+        launches from all of it: it changes over [13.5, 53.75] ns, not
+        just 6 to 30 ns after the rise window."""
+        circuit, cons = _input_delay("CK .C2-3")
+        period = circuit.timebase.period_ps
+        run = run_parametric(circuit, constraints=cons, t0=period)
+        concrete = compute_windows(circuit, constraints=cons)
+
+        def at_sample(windows):
+            return [
+                "full" if s.is_full else [
+                    (_slack_form(lo).at(period), _slack_form(hi).at(period))
+                    for lo, hi in s.spans
+                ]
+                for s in windows
+            ]
+
+        assert at_sample(concrete.by_name("PORT")) == [[(13500, 53750)]] * 2
+        assert run.analysis.windows.keys() == concrete.windows.keys()
+        for net, windows in concrete.windows.items():
+            assert at_sample(run.analysis.windows[net]) == at_sample(windows), (
+                net.name
+            )
+
 
 class TestHandDerivedFmax:
     def test_shifter_fmax_is_28100_ps(self):
@@ -219,12 +247,30 @@ class TestHandDerivedFmax:
         assert analytic.period_ps is None and oracle.period_ps is None
 
     def test_fig_2_6_static_search_is_bounded(self):
-        """Static-clean down to 1 ps: the search halves down from the
+        """Static-clean down to 1 ps: the search gallops down from the
         region walk's guess instead of stepping one picosecond at a time
         (which took 10,000 static evals)."""
         static = solve_static_fmax(figures.fig_2_6_case_analysis())
         assert not static.period_limited and static.period_ps is None
-        assert static.static_evals <= 100
+        assert static.static_evals <= 25
+
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            figures.fig_2_5_register_file,
+            figures.fig_3_12_alu_datapath,
+            figures.fig_4_1_correlation,
+        ],
+        ids=["fig_2_5", "fig_3_12", "fig_4_1"],
+    )
+    def test_static_search_without_a_root_is_bounded(self, builder):
+        """No period is static-clean here (in Figs 3-12 and 4-1 a static
+        slack does not grow with the period), so the search gallops up
+        from the region walk's guess, doubling its step at most 16 times,
+        and gives up."""
+        static = solve_static_fmax(builder())
+        assert static.period_limited and static.period_ps is None
+        assert static.static_evals <= 25
 
     def test_fig_1_5_fails_at_every_period(self):
         """The gated-clock runt pulse can be arbitrarily short at any
@@ -249,7 +295,7 @@ def _shipped(name, sdc):
     return circuit, cons
 
 
-def _input_delay():
+def _input_delay(clock="CK .P2-3"):
     """A register fed by a port that an SDC input delay says changes 6 to
     30 ns after each clock rise: its windows move with the probed period
     through ``input_delay_spans``."""
@@ -257,10 +303,10 @@ def _input_delay():
     from repro.constraints import parse_sdc, resolve
 
     circuit = Circuit("port", period_ns=50.0, clock_unit_ns=6.25)
-    circuit.reg("Q", "CK .P2-3", "PORT", delay=(1.0, 2.0), name="r")
-    circuit.setup_hold("PORT", "CK .P2-3", setup=2.5, hold=1.5, name="su")
+    circuit.reg("Q", clock, "PORT", delay=(1.0, 2.0), name="r")
+    circuit.setup_hold("PORT", clock, setup=2.5, hold=1.5, name="su")
     commands, _ = parse_sdc(
-        'create_clock -period 50 -name CK "CK .P2-3"\n'
+        f'create_clock -period 50 -name CK "{clock}"\n'
         "set_input_delay 30 -max -clock CK PORT\n"
         "set_input_delay 6 -min -clock CK PORT\n"
     )

@@ -7,6 +7,8 @@ transport, never a second implementation.
 """
 
 import json
+import os
+import signal
 import socket
 import statistics
 import subprocess
@@ -209,6 +211,32 @@ class TestPooledOverHttp:
             assert exc.value.status == 400
 
 
+def _descendants(pid: int) -> list[int]:
+    """Every descendant of ``pid``, through all of its threads."""
+    out, todo = [], [pid]
+    while todo:
+        parent = todo.pop()
+        for tid in os.listdir(f"/proc/{parent}/task"):
+            try:
+                with open(f"/proc/{parent}/task/{tid}/children") as fh:
+                    kids = [int(k) for k in fh.read().split()]
+            except FileNotFoundError:  # the thread has ended
+                continue
+            out.extend(kids)
+            todo.extend(kids)
+    return out
+
+
+def _alive(pid: int) -> bool:
+    """Is ``pid`` still running?  A zombie has ended."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        return False
+    return text[text.rindex(")") + 2] != "Z"
+
+
 class TestServeProcess:
     def test_scald_serve_round_trip(self):
         """``python -m repro.server --port 0`` prints its port and serves:
@@ -234,14 +262,50 @@ class TestServeProcess:
             pool = pooled.verify()["profile"]["pool"]
             assert pool["workers"] == 2 and pool["pool_starts"] == 1
             assert pool["runs"] == 2 and pool["warm_runs"] >= 1
-            # Dropping a session closes its pool; terminating the server
-            # alone would leave the pool's workers behind.
             client.delete(served.sid)
             client.delete(pooled.sid)
             client.close()
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task"), reason="reads /proc"
+    )
+    @pytest.mark.parametrize(
+        "sig", [signal.SIGTERM, signal.SIGKILL], ids=["sigterm", "sigkill"]
+    )
+    def test_no_pool_worker_outlives_the_server(self, sig):
+        """A pooled session is still open when the server gets the signal.
+        On SIGTERM the server closes every session before it exits; on
+        SIGKILL nothing runs, and each worker leaves its request loop
+        once its parent is gone.  Either way every descendant process
+        exits within 5 s."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.server", "--port", "0"],
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            port = json.loads(proc.stdout.readline())["port"]
+            client = SessionClient("127.0.0.1", port)
+            pooled = oracle.Served(client, SHIFTER, jobs=2)
+            assert pooled.verify()["profile"]["pool"]["workers"] == 2
+            client.close()
+            workers = _descendants(proc.pid)
+            assert len(workers) >= 2
+
+            deadline = time.monotonic() + 5
+            proc.send_signal(sig)
+            proc.wait(timeout=5)
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in workers if _alive(pid)] == []
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
 
 
 class TestStaticOverHttp:

@@ -9,6 +9,7 @@ matrix and property-style under hypothesis.
 
 import glob
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Circuit, TimingVerifier, VerifyConfig
+from repro.constraints import InputDelay, input_delay_spans
+from repro.core.timeline import Timebase
+from repro.hdl.assertions import parse_assertion_spec
 from repro.hdl.expander import MacroExpander
 from repro.lint import LintConfig, lint_circuit
 from repro.sta import (
@@ -26,6 +30,7 @@ from repro.sta import (
     compute_windows,
     infer_domains,
 )
+from repro.sta.windows import assertion_windows, waveform_windows
 from repro.workloads.synth import SynthConfig, generate
 
 PERIOD = 50_000
@@ -165,6 +170,87 @@ class TestWindows:
         assert not an.feedback
         rise, fall = an.by_name("Q")
         assert not rise.is_full
+
+
+#: Absolute widths and skews for random assertions.
+_WIDTH_NS = st.integers(1, 240).map(lambda h: h / 2)
+_SKEW_NS = st.integers(0, 20).map(lambda h: h / 2)
+
+
+def _fmt(x: float) -> str:
+    return f"{x:g}"
+
+
+@st.composite
+def _assertion_specs(draw, kinds="PCS"):
+    """``(kind letter, spec text, clock units per period)``: 1-3 ranges in
+    every form (``t``, ``t1-t2`` either way round, ``t+width``) at times
+    within the cycle, optional explicit skew and ``L``."""
+    units = draw(st.sampled_from([4, 8, 10, 16]))
+    times = st.integers(0, 4 * units).map(lambda q: _fmt(q / 4))
+    ranges = []
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(times)
+        form = draw(st.sampled_from(["time", "range", "width"]))
+        if form == "time":
+            ranges.append(start)
+        elif form == "range":
+            ranges.append(f"{start}-{draw(times)}")
+        else:
+            ranges.append(f"{start}+{_fmt(draw(_WIDTH_NS))}")
+    spec = ",".join(ranges)
+    if draw(st.booleans()):
+        spec += f"(-{_fmt(draw(_SKEW_NS))},{_fmt(draw(_SKEW_NS))})"
+    if draw(st.booleans()):
+        spec += " L"
+    return draw(st.sampled_from(kinds)), spec, units
+
+
+def _timebase(period_ps: int, units_per_period: int) -> Timebase:
+    return Timebase(period_ps, Fraction(period_ps, units_per_period))
+
+
+class TestSourceWindows:
+    """One builder gives the fixed-source windows of the concrete pass, the
+    parametric pass and the engine's input delays.  It works on the
+    asserted spans alone; the waveform route it replaced stays here as the
+    independent reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(spec=_assertion_specs(), period=st.integers(200, 120_000))
+    def test_assertion_windows_equal_the_waveform_route(self, spec, period):
+        kind, text, units = spec
+        assertion = parse_assertion_spec(kind, text)
+        timebase = _timebase(period, units)
+        config = VerifyConfig()
+        skew = config.clock_skew_ns(kind == "P")
+        assert assertion_windows(assertion, timebase, config) == (
+            waveform_windows(assertion.waveform(timebase, skew))
+        )
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        spec=_assertion_specs(kinds="PC"),
+        period=st.integers(200, 120_000),
+        min_ps=st.integers(0, 40_000),
+        extra_ps=st.integers(0, 40_000),
+    )
+    def test_input_delay_spans_shift_the_rising_windows(
+        self, spec, period, min_ps, extra_ps
+    ):
+        kind, text, units = spec
+        clock = f"CK .{kind}{text}"
+        c = circuit()
+        c.buf("OUT", clock)
+        assertion = c.find(c.nets[clock]).assertion
+        timebase = _timebase(period, units)
+        config = VerifyConfig()
+        wf = assertion.waveform(timebase, config.clock_skew_ns(kind == "P"))
+        delay = InputDelay("PORT", clock, min_ps, min_ps + extra_ps)
+        assert input_delay_spans(delay, c, config, timebase) == [
+            (r0 + min_ps, r1 + min_ps + extra_ps)
+            for r0, r1 in wf.rising_windows()
+        ]
 
 
 class TestDomains:
