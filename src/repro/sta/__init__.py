@@ -50,9 +50,9 @@ from .slack import (
     compute_slack,
     record_slots,
     sorted_records,
+    twinless_sites,
 )
 from .windows import (
-    _ASSUME,
     FeedbackCut,
     IntervalSet,
     WindowAnalysis,
@@ -100,7 +100,7 @@ class StaAnalysis:
     constraints: object | None = None
     #: The records of ``slack`` grouped by filer (``slack.record_slots``).
     _slots: list = field(default_factory=list, repr=False)
-    _unmatched: int | None = field(default=None, repr=False)
+    _twinless: tuple | None = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -118,25 +118,25 @@ class StaAnalysis:
         A record whose clock has no static edge, or whose windows
         overflowed the period, claims no slack.  (A waived record and a
         latch's borrow report without a ``set_max_time_borrow`` cap are
-        not checks the engine makes.)  Engine checks with no static twin
-        count as well: every minimum-pulse-width checker, every gate whose
-        directive letter is or may be A or H (gating stability), and —
-        under ``check_assertions`` — every driven net with a stable
-        assertion.  Those depend on topology only and are counted once.
+        not checks the engine makes.)  Nor does a record whose engine
+        check may file no-clock-edge instead, and every other site of a
+        check with no static twin counts as well
+        (:func:`repro.sta.slack.twinless_sites`); those depend on topology
+        only and are found once.
         """
+        if self._twinless is None:
+            self._twinless = twinless_sites(self.windows)
+        count, edgeless = self._twinless
         cons = self.constraints
-        count = 0
         for r in self.slack:
-            if not (r.no_edge or r.overflow) or r.waived:
-                continue
-            if r.kind == "borrow" and (
+            uncapped = r.kind == "borrow" and (
                 cons is None or cons.borrow_for(r.component) is None
+            )
+            if not (r.waived or uncapped) and (
+                r.no_edge or r.overflow or r.component in edgeless
             ):
-                continue
-            count += 1
-        if self._unmatched is None:
-            self._unmatched = _unmatched_checks(self.windows)
-        return count + self._unmatched
+                count += 1
+        return count
 
     def update(
         self, nets: Iterable[Net], components: Iterable[Component]
@@ -190,36 +190,6 @@ class StaAnalysis:
         if rootless & changed:
             self.domains = infer_domains(self.circuit, windows)
         return changed
-
-
-def _unmatched_checks(windows: WindowAnalysis) -> int:
-    """Engine checks with no static slack twin (see ``indeterminate``)."""
-    circuit = windows.circuit
-    sweep = windows._sweep
-    count = sum(
-        1 for c in circuit.iter_components() if c.prim.name == "MIN_PULSE_WIDTH"
-    )
-    # A letter rides in on a waveform only from the tail of a directive
-    # string written at some gate input.
-    riding = set().union(
-        *(conn.directives[1:] for row in sweep.inputs for conn in row)
-    )
-    may_assume = bool(riding & _ASSUME)
-    for letters in sweep.letters:
-        if letters is not None and any(
-            letter in _ASSUME if certain else may_assume
-            for letter, certain in letters
-        ):
-            count += 1
-    if windows.config.check_assertions:
-        count += sum(
-            1
-            for rep in circuit.representatives()
-            if rep.assertion is not None
-            and not rep.assertion.kind.is_clock
-            and rep in sweep.drivers
-        )
-    return count
 
 
 def analyze(

@@ -27,18 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.violations import ViolationKind
+from .slack import TWINS
 from .windows import WindowAnalysis, waveform_windows
-
-#: Engine violation kinds each static record kind vouches for.
-_KINDS_FOR = {
-    "setup-hold": (ViolationKind.SETUP, ViolationKind.HOLD,
-                   ViolationKind.STABLE_WHILE_TRUE),
-    "recovery": (ViolationKind.RECOVERY,),
-    "removal": (ViolationKind.REMOVAL,),
-    "borrow": (ViolationKind.BORROW,),
-    "output": (ViolationKind.SETUP, ViolationKind.HOLD),
-}
 
 
 @dataclass(frozen=True)
@@ -90,8 +80,8 @@ def check_encloses(
     With ``slack`` (a :func:`repro.sta.slack.compute_slack` list, which
     must have been computed with the *same* constraints as the engine run)
     the per-check verdict pass also runs: every record with strictly
-    positive slack must correspond to zero engine violations of its kinds
-    at the same (component, signal).
+    positive slack must correspond to zero engine violations at the same
+    (component, signal) of the checks its kind bounds (``slack.TWINS``).
     """
     out = CrosscheckResult(cases_checked=len(result.cases))
     seen: set[str] = set()
@@ -128,12 +118,9 @@ def check_encloses(
         for rec in slack:
             if rec.slack_ps is None or rec.slack_ps <= 0 or rec.waived:
                 continue
-            kinds = _KINDS_FOR.get(rec.kind)
-            if kinds is None:
-                continue
             out.verdicts_checked += 1
             for v in index.get((rec.component, rec.signal), ()):
-                if v.kind in kinds:
+                if rec.kind in TWINS[v.kind]:
                     out.verdict_failures.append(
                         VerdictFailure(
                             component=rec.component,

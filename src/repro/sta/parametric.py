@@ -44,9 +44,9 @@ from fractions import Fraction
 from ..core.config import VerifyConfig
 from ..core.engine import _SUPPLY, Engine
 from ..core.timeline import Timebase, scaled_timebase
-from ..core.violations import CheckReport, ViolationKind
+from ..core.violations import CheckReport
 from ..netlist.circuit import Circuit, Component, Connection, Net
-from .slack import SlackRecord, compute_slack
+from .slack import TWINS, SlackRecord, compute_slack
 from .windows import IntervalSet, WindowAnalysis, compute_windows, _used_input_conns
 
 __all__ = [
@@ -609,7 +609,6 @@ def solve_static_fmax(
     guess = design_period
     binding_slope: Fraction | None = None
     binding_forms: list[SlackRecord] = []
-    period_limited = True
     visited: set[int] = set()
     while passes < _MAX_PASSES:
         run = run_parametric(circuit, config, constraints, t0=t)
@@ -628,20 +627,10 @@ def solve_static_fmax(
             t = nxt
             continue
         if binding is None:
-            # No period-dependent check constrains from below in this
-            # region: clean down to (at least) the region floor.
-            if run.lo <= 1:
-                period_limited = clean(1) is False
-                guess = 1 if not period_limited else run.lo
-                if not period_limited:
-                    break
-            guess = max(1, run.lo - 1)
-            if guess in visited or guess >= t:
-                guess = run.lo
-                break
-            visited.add(guess)
-            t = guess
-            continue
+            # No check bounds the period from below in this region: it is
+            # clean down to the region floor, and the gallop goes on below.
+            guess = run.lo
+            break
         binding_slope = _slack_form(binding.slack_ps).b
         binding_forms = run.records
         guess = candidate
@@ -661,18 +650,6 @@ def solve_static_fmax(
             break
         visited.add(candidate)
         t = candidate
-
-    result_binding: SlackRecord | None = None
-    if not period_limited:
-        return StaticFmax(
-            period_limited=False,
-            period_ps=None,
-            binding=None,
-            slope=None,
-            passes=passes,
-            static_evals=evals,
-            baseline_overflow=baseline_overflow,
-        )
 
     # Phase 2: gallop from the guess to a bracket, probing 1, 2, 4, ... ps
     # away (a boundary next to the guess costs a probe or two, a far one a
@@ -742,12 +719,11 @@ def solve_static_fmax(
             ):
                 worst = rec
                 break
-    result_binding = worst
 
     return StaticFmax(
         period_limited=True,
         period_ps=t,
-        binding=result_binding,
+        binding=worst,
         slope=binding_slope,
         passes=passes,
         static_evals=evals,
@@ -799,19 +775,6 @@ class FmaxResult:
             return None
         return 1e6 / self.period_ps
 
-
-#: The violation kinds the static slack families bound: static-clean
-#: implies engine-clean on these alone.  Pulse-width, glitch, gating,
-#: assertion, no-edge and stable-while-true checks have no static twin.
-_STATIC_KINDS = frozenset(
-    {
-        ViolationKind.SETUP,
-        ViolationKind.HOLD,
-        ViolationKind.RECOVERY,
-        ViolationKind.REMOVAL,
-        ViolationKind.BORROW,
-    }
-)
 
 #: How far below a found boundary both oracles re-probe: the engine's
 #: slack-vs-T curve is a step function of interleaved roundings and can be
@@ -894,6 +857,7 @@ def _limiting_check(
     Falls back to the static binding record when no violated check there
     carries a margin, and without one to the first of the engine's
     ``violations`` there (keyed like the margins), named the same way.
+    Only a record of a kind that bounds the check (``TWINS``) names it.
     """
     key = min(margins, key=margins.__getitem__, default=None)
     if key is None or margins[key] >= 0:
@@ -902,14 +866,11 @@ def _limiting_check(
         key = violations[0]
     component, kind, signal, _case = key
     base = component.split(" [", 1)[0]  # a diverged lane's label
+    twins = [r for r in static.records if r.kind in TWINS[kind]]
     record = next(
-        (
-            r
-            for r in static.records
-            if r.component == component and r.signal == signal
-        ),
+        (r for r in twins if r.component == component and r.signal == signal),
         None,
-    ) or next((r for r in static.records if r.component == base), None)
+    ) or next((r for r in twins if r.component == base), None)
     if record is None:
         # No static twin (a pulse-width or assertion check): name the
         # engine's check.
@@ -1031,7 +992,7 @@ def solve_fmax(
     boundary = None
     if limited:
         if t_s is not None and not ok(t_s) and any(
-            kind in _STATIC_KINDS for _c, kind, _s, _i in probes[t_s][2]
+            TWINS[kind] for _c, kind, _s, _i in probes[t_s][2]
         ):
             raise AssertionError(
                 f"engine violates at static-clean period {t_s}: the static "

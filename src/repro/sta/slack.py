@@ -24,12 +24,102 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..netlist.circuit import Circuit, Component
-from .windows import WindowAnalysis
+from ..core.violations import ViolationKind
+from ..netlist.circuit import Circuit, Component, Net
+from .windows import _ASSUME, WindowAnalysis, _used_input_conns
 
 _CHECKERS = frozenset({"SETUP_HOLD_CHK", "SETUP_RISE_HOLD_FALL_CHK"})
 #: Primitives that can file a record (see :func:`component_records`).
 _FILERS = _CHECKERS | {"REG_RS", "LATCH", "LATCH_RS"}
+
+#: The static record kinds that bound each engine check: at the same
+#: (component, signal), slack ``s > 0`` means the engine files no violation
+#: of it and ``s >= 0`` is at most every margin it files.  An empty row: no
+#: static twin (:func:`twinless_sites` counts where the check is filed).
+TWINS: dict[ViolationKind, tuple[str, ...]] = {
+    ViolationKind.SETUP: ("setup-hold", "output"),
+    ViolationKind.HOLD: ("setup-hold", "output"),
+    # The SETUP RISE HOLD FALL guard spans the whole high level.
+    ViolationKind.STABLE_WHILE_TRUE: ("setup-hold",),
+    ViolationKind.RECOVERY: ("recovery",),
+    ViolationKind.REMOVAL: ("removal",),
+    ViolationKind.BORROW: ("borrow",),
+    ViolationKind.NO_CLOCK_EDGE: (),
+    ViolationKind.MIN_PULSE_WIDTH_HIGH: (),
+    ViolationKind.MIN_PULSE_WIDTH_LOW: (),
+    ViolationKind.POSSIBLE_GLITCH: (),
+    ViolationKind.GATING_STABILITY: (),
+    ViolationKind.ASSERTION_MISMATCH: (),
+}
+
+
+def twinless_sites(analysis: WindowAnalysis) -> tuple[int, frozenset[str]]:
+    """Where the engine can file a check with an empty :data:`TWINS` row.
+
+    A count, one per check: each minimum-pulse-width checker, each gate
+    whose directive letter is or may be A or H (gating stability) and,
+    under ``check_assertions``, each driven net with a stable assertion.
+    And the checkers and output-delay checks (``sdc@NET``) that may file
+    no-clock-edge: a clock keeps an edge in every case only when its net is
+    clock-asserted, or a gate with one timing input (``_used_input_conns``:
+    one input, or a certain A or H letter) drives it from such a net.
+    """
+    circuit = analysis.circuit
+    sweep = analysis._sweep
+    find = circuit.find
+    position = {id(comp): j for j, comp in enumerate(sweep.comps)}
+
+    def keeps_edge(net: Net) -> bool:
+        rep, seen = find(net), set()
+        while rep not in seen:
+            if rep.assertion is not None and rep.assertion.kind.is_clock:
+                return True
+            seen.add(rep)
+            driver = sweep.drivers.get(rep)
+            j = None if driver is None else position.get(id(driver[0]))
+            if j is None or sweep.kinds[j] != 0 or rep in sweep.multi:
+                return False
+            conns = _used_input_conns(
+                sweep.comps[j], sweep.inputs[j], sweep.letters[j]
+            )
+            if len(conns) != 1:
+                return False
+            rep = find(conns[0].net)
+        return False
+
+    count = 0
+    edgeless: set[str] = set()
+    for comp in circuit.iter_components():
+        if comp.prim.name == "MIN_PULSE_WIDTH":
+            count += 1
+        elif comp.prim.name in _CHECKERS and not keeps_edge(comp.pins["CK"].net):
+            edgeless.add(comp.name)
+    if analysis.constraints is not None:
+        for spec in analysis.constraints.output_delays:
+            clock = circuit.nets.get(spec.clock)
+            if clock is not None and not keeps_edge(clock):
+                edgeless.add(f"sdc@{spec.net}")
+    # A letter rides in on a waveform only from the tail of a directive
+    # string written at some gate input.
+    riding = set().union(
+        *(conn.directives[1:] for row in sweep.inputs for conn in row)
+    )
+    may_assume = bool(riding & _ASSUME)
+    for letters in sweep.letters:
+        if letters is not None and any(
+            letter in _ASSUME if certain else may_assume
+            for letter, certain in letters
+        ):
+            count += 1
+    if analysis.config.check_assertions:
+        count += sum(
+            1
+            for rep in circuit.representatives()
+            if rep.assertion is not None
+            and not rep.assertion.kind.is_clock
+            and rep in sweep.drivers
+        )
+    return count, frozenset(edgeless)
 
 
 @dataclass(frozen=True)
@@ -145,7 +235,7 @@ def _checker_slack(
     setup = int(comp.params["setup"])
     hold = int(comp.params["hold"])
 
-    clk_rise, clk_fall = analysis.prepared(ck_conn)
+    clk_rise, clk_fall = analysis.edge_runs(*analysis.prepared(ck_conn))
     if ck_conn.invert:
         clk_rise, clk_fall = clk_fall, clk_rise
     data_rise, data_fall = analysis.prepared(i_conn)
@@ -245,7 +335,7 @@ def _rs_slack(comp: Component, analysis: WindowAnalysis, spec) -> list[SlackReco
     """
     period = analysis.period
     clock_conn = comp.pins["CLOCK" if comp.prim.name == "REG_RS" else "ENABLE"]
-    clk_rise, _clk_fall = analysis.prepared(clock_conn)
+    clk_rise, _clk_fall = analysis.edge_runs(*analysis.prepared(clock_conn))
     records: list[SlackRecord] = []
     for pin in ("SET", "RESET"):
         conn = comp.pins.get(pin)
@@ -312,7 +402,7 @@ def _borrow_slack(
     period = analysis.period
     enable_conn = comp.pins["ENABLE"]
     data_conn = comp.pins["DATA"]
-    en_rise, en_fall = analysis.prepared(enable_conn)
+    en_rise, en_fall = analysis.edge_runs(*analysis.prepared(enable_conn))
     data_rise, data_fall = analysis.prepared(data_conn)
     changes = data_rise.union(data_fall)
 
@@ -407,7 +497,7 @@ def _output_slack(
     clock_net = circuit.nets.get(spec.clock)
     if net is None or clock_net is None:
         return None
-    clk_rise, _clk_fall = analysis.of(clock_net)
+    clk_rise, _clk_fall = analysis.edge_runs(*analysis.of(clock_net))
     data_rise, data_fall = analysis.of(net)
     changes = data_rise.union(data_fall)
 

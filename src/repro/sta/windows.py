@@ -250,6 +250,39 @@ def waveform_windows(wf: Waveform) -> tuple[IntervalSet, IntervalSet]:
     return IntervalSet(period, rise), IntervalSet(period, fall)
 
 
+def edge_runs(
+    rise: IntervalSet, fall: IntervalSet
+) -> tuple[IntervalSet, IntervalSet]:
+    """The windows in which a clocked reader sees a rise and a fall.
+
+    The engine's readers (``Waveform.rising_windows``/``falling_windows``)
+    take each maximal run of changing values on the materialized clock as
+    one edge window: where skew makes a rise and a fall window touch or
+    overlap, the run holds CHANGE and reads as both edges.  Statically:
+    the runs of ``rise | fall`` that hold a rise window, and those that
+    hold a fall window.  Every clocked read of the static passes goes here.
+    """
+    if rise.is_empty or fall.is_empty:
+        return rise, fall
+    runs = rise.union(fall)
+    if runs.is_full:
+        return runs, runs
+    spans = runs.spans
+    if len(spans) == len(rise.spans) + len(fall.spans):
+        return rise, fall  # no window merges: each run is one edge window
+    period = runs.period
+
+    def holding(part: IntervalSet) -> IntervalSet:
+        held = [
+            (lo, hi)
+            for lo, hi in spans
+            if any(lo <= t <= hi or lo <= t + period <= hi for t, _ in part.spans)
+        ]
+        return runs if len(held) == len(spans) else IntervalSet(period, held)
+
+    return holding(rise), holding(fall)
+
+
 @dataclass(frozen=True)
 class FeedbackCut:
     """A net conservatively widened to the full period at a feedback cycle."""
@@ -315,6 +348,14 @@ class WindowAnalysis:
             raise KeyError(f"no signal named {name!r}")
         return self.of(net)
 
+    def edge_runs(self, rise, fall) -> tuple[IntervalSet, IntervalSet]:
+        """:func:`edge_runs`, memoized for this analysis alone (a
+        parametric pass must record its own guided decisions)."""
+        hit = self._edge_runs.get((rise, fall))
+        if hit is None:
+            hit = self._edge_runs[rise, fall] = edge_runs(rise, fall)
+        return hit
+
     def prepared(
         self, conn: Connection, zero_wire: bool = False
     ) -> tuple[IntervalSet, IntervalSet]:
@@ -363,6 +404,7 @@ class WindowAnalysis:
     _prepared_zero: dict = field(default_factory=dict, repr=False)
     _rep_prepared: dict = field(default_factory=dict, repr=False)
     _rep_of: dict = field(default_factory=dict, repr=False)
+    _edge_runs: dict = field(default_factory=dict, repr=False)
     _default_wire: tuple[int, int] | None = field(default=None, repr=False)
     _per_load: int | None = field(default=None, repr=False)
     _sweep: _Sweep | None = field(default=None, repr=False)
@@ -568,23 +610,12 @@ def rising_runs(assertion, timebase, config: VerifyConfig) -> list[tuple]:
     """The windows that may hold a rise of a clock assertion.
 
     Equal to ``assertion.waveform(timebase, skew).rising_windows()``: the
-    maximal runs of touching or overlapping edge windows, rise and fall
-    alike, that contain a rise window (a run covering the whole period is
-    ``(0, period)``).  ``set_input_delay`` launches from these.
+    rise windows :func:`edge_runs` reads off the skewed edges (a run
+    covering the whole period is ``(0, period)``).  ``set_input_delay``
+    launches from these.
     """
-    rises, falls = _clock_edges(assertion, timebase, config)
-    if not rises:
-        return []
-    period = timebase.period_ps
-    runs = IntervalSet(period, rises + falls)
-    if runs.is_full:
-        return [(0, period)]
-    starts = [r % period for r, _end in rises]
-    return [
-        (lo, hi)
-        for lo, hi in runs.spans
-        if any(lo <= r <= hi or lo <= r + period <= hi for r in starts)
-    ]
+    runs, _falls = edge_runs(*assertion_windows(assertion, timebase, config))
+    return [(0, timebase.period_ps)] if runs.is_full else list(runs.spans)
 
 
 def _source_windows(
@@ -1212,7 +1243,7 @@ def _transfer_register(
     nothing here and the dependency cut in ``_used_input_conns`` is sound.
     """
     delay = comp.delay_ps()
-    clk_r, _clk_f = analysis.prepared(comp.pins["CLOCK"])
+    clk_r, _clk_f = analysis.edge_runs(*analysis.prepared(comp.pins["CLOCK"]))
     sr, full = _sr_windows(
         comp, analysis, circuit, case_values, drivers, delay, period
     )

@@ -65,19 +65,21 @@ def _engine_clean(circuit, period_ps, config=None, constraints=None):
     return _engine_result(circuit, period_ps, config, constraints).ok
 
 
-def _shifter():
+def _scald(path):
     from repro.hdl.expander import MacroExpander
 
-    return MacroExpander.from_file("examples/designs/shifter.scald").expand()
+    return MacroExpander.from_file(path).expand()
+
+
+def _shifter():
+    return _scald("examples/designs/shifter.scald")
 
 
 PULSE_WIDTH = "tests/fixtures/pulse_width.scald"
 
 
 def _pulse_width():
-    from repro.hdl.expander import MacroExpander
-
-    return MacroExpander.from_file(PULSE_WIDTH).expand()
+    return _scald(PULSE_WIDTH)
 
 
 def _synth_circuit(chips, seed, alu_fraction=0.0):
@@ -253,6 +255,21 @@ class TestHandDerivedFmax:
         static = solve_static_fmax(figures.fig_2_6_case_analysis())
         assert not static.period_limited and static.period_ps is None
         assert static.static_evals <= 25
+
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            figures.fig_2_6_case_analysis,
+            figures.fig_1_5_gated_clock,
+            lambda: _scald("tests/fixtures/gated_clock.scald"),
+        ],
+        ids=["fig_2_6", "fig_1_5", "gated_clock"],
+    )
+    def test_region_walk_stops_where_nothing_binds(self, builder):
+        """No check bounds the period from below in the first region, so
+        the walk hands its floor to the gallop after one parametric pass
+        (Fig. 2-6 used to spend all 24 re-sampling under each floor)."""
+        assert solve_static_fmax(builder()).passes == 1
 
     @pytest.mark.parametrize(
         "builder",
@@ -590,9 +607,49 @@ class TestStartAboveStaticRoot:
         ) in out
 
 
+class TestSkewedClock:
+    def test_fmax_equals_bisection(self):
+        """The fixture's clock edges overlap (tests/fixtures/
+        skewed_clock.scald): the static root reads the whole run, so the
+        engine is clean there and the search answers without tripping
+        its soundness assertion."""
+        path = "tests/fixtures/skewed_clock.scald"
+        res = solve_fmax(_scald(path))
+        assert res.period_ps == bisect_fmax(_scald(path)).period_ps == 67995
+        assert res.static_period_ps >= res.period_ps
+
+
 class TestSoundnessAssertion:
     """An engine setup or hold violation at a static-clean period breaks
     the crosscheck contract: the search must raise, never step past it."""
+
+    @pytest.mark.parametrize(
+        "kind, raises",
+        [(ViolationKind.STABLE_WHILE_TRUE, True), (MPW_HIGH, False)],
+        ids=["stable-while-true", "pulse-width"],
+    )
+    def test_kind_rule_reads_the_twin_table(self, kind, raises, monkeypatch):
+        """A violation at T_s (the search's first probe) of a check with a
+        static twin raises; one without (a pulse width, here failing at
+        T_s and below) sends the search up from T_s, so the answer lands
+        just above it."""
+        from repro.sta import parametric
+
+        probe = parametric._engine_probe
+        t_s = solve_static_fmax(_shifter()).period_ps
+
+        def violating_up_to_ts(circuit, config, constraints):
+            real = probe(circuit, config, constraints)
+            return lambda t: (
+                (False, {}, [("c", kind, "D", 0)]) if t <= t_s else real(t)
+            )
+
+        monkeypatch.setattr(parametric, "_engine_probe", violating_up_to_ts)
+        if raises:
+            with pytest.raises(AssertionError, match="lost its soundness"):
+                solve_fmax(_shifter())
+        else:
+            assert solve_fmax(_shifter()).period_ps == t_s + 1
 
     @pytest.mark.parametrize("t_s", [20_000, 28_099])
     def test_setup_violation_at_static_root_raises(self, t_s, monkeypatch):
@@ -656,6 +713,16 @@ class TestLimitingCheck:
         record, got_slope = _limiting_check(self._static(), margins)
         assert (record.component, record.signal) == (component, signal)
         assert got_slope == slope
+
+    def test_twinless_check_borrows_no_record(self):
+        """A no-clock-edge violation on a checker that also files a
+        setup-hold record is named as itself, without that record's
+        slope."""
+        static = dataclasses.replace(self._static(), binding=None)
+        edge = ("a/su", ViolationKind.NO_CLOCK_EDGE, "A", 0)
+        record, slope = _limiting_check(static, {}, [edge])
+        assert (record.component, record.kind) == ("a/su", "no-clock-edge")
+        assert record.slack_ps is None and slope is None
 
 
 class TestOracleAgreement:

@@ -229,6 +229,37 @@ class TestReverifySemantics:
         assert not inc.prescreen.ok
         assert inc.prescreen.indeterminate == (2 if use_directive else 1)
 
+    @pytest.mark.parametrize(
+        "enable, case, indeterminate",
+        [
+            ('"GND"', "", 1),
+            ('"EN .S0-8"', 'case "EN .S0-8" = 0;\n', 1),
+            # The A letter hands the gate to EN: the static record already
+            # claims nothing (no edge), next to the gating check.
+            ('"EN .S0-8"&A', "", 2),
+        ],
+        ids=["gnd", "case", "assume-enable"],
+    )
+    def test_prescreen_counts_a_clock_that_may_lose_its_edge(
+        self, enable, case, indeterminate
+    ):
+        """A clock gated by a second input may hold no edge at all in some
+        case, and the engine then files no-clock-edge, a check with no
+        static twin.  Counted once per checker, the prescreen must not
+        call the design clean."""
+        session = Session.from_source(
+            "design NOEDGE;\nperiod 50 ns;\nclock_unit 6.25 ns;\n"
+            f'prim AND g (I1="MAIN CLK .P2-3", I2={enable}, OUT="GCK")'
+            " delay=1.0:2.0;\n"
+            'prim "SETUP HOLD CHK" su (I="D .S0-6", CK="GCK")'
+            " setup=2.5 hold=1.5;\n" + case
+        )
+        kinds = {v.kind.value for v in session.verify().violations}
+        assert "no-clock-edge" in kinds
+        inc = session.reverify(prescreen=True)
+        assert not inc.prescreen.ok
+        assert inc.prescreen.indeterminate == indeterminate
+
     def test_latch_borrow_report_is_not_indeterminate(self):
         """A latch's uncapped borrow record is a report, not a check: a
         latch design with clean static slack prescreens clean."""

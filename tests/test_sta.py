@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro import Circuit, TimingVerifier, VerifyConfig
 from repro.constraints import InputDelay, input_delay_spans
 from repro.core.timeline import Timebase
+from repro.core.violations import ViolationKind
 from repro.hdl.assertions import parse_assertion_spec
 from repro.hdl.expander import MacroExpander
 from repro.lint import LintConfig, lint_circuit
@@ -30,7 +31,9 @@ from repro.sta import (
     compute_windows,
     infer_domains,
 )
-from repro.sta.windows import assertion_windows, waveform_windows
+from repro.sta.slack import TWINS
+from repro.sta.windows import assertion_windows, edge_runs, waveform_windows
+from repro.workloads import figures
 from repro.workloads.synth import SynthConfig, generate
 
 PERIOD = 50_000
@@ -251,6 +254,171 @@ class TestSourceWindows:
             (r0 + min_ps, r1 + min_ps + extra_ps)
             for r0, r1 in wf.rising_windows()
         ]
+
+
+def _set(*spans):
+    return IntervalSet(PERIOD, spans)
+
+
+class TestEdgeRuns:
+    """``edge_runs`` is the one static reading of a clock's edges: where
+    skew makes a rise and a fall window touch or overlap, a clocked reader
+    sees both edges anywhere in the run, as the engine's readers do."""
+
+    def test_disjoint_windows_pass_through(self):
+        rise, fall = _set((1_000, 3_000)), _set((7_000, 9_000))
+        runs = edge_runs(rise, fall)
+        assert runs[0] is rise and runs[1] is fall
+
+    def test_overlapping_windows_are_one_edge_window(self):
+        rise, fall = _set((7_500, 17_500)), _set((13_750, 23_750))
+        run = _set((7_500, 23_750))
+        assert edge_runs(rise, fall) == (run, run)
+
+    def test_a_run_holds_only_the_edges_inside_it(self):
+        rise = _set((0, 10_000), (30_000, 40_000))
+        fall = _set((8_000, 20_000))
+        assert edge_runs(rise, fall) == (
+            _set((0, 20_000), (30_000, 40_000)),
+            _set((0, 20_000)),
+        )
+
+    def test_wrapping_and_full_runs(self):
+        rise, fall = _set((45_000, 52_000)), _set((1_000, 4_000))
+        run = _set((45_000, 54_000))
+        assert edge_runs(rise, fall) == (run, run)
+        full = IntervalSet.everywhere(PERIOD)
+        assert edge_runs(_set((0, 30_000)), _set((25_000, 50_000))) == (
+            full, full,
+        )
+        empty = IntervalSet.empty(PERIOD)
+        assert edge_runs(full, empty) == (full, empty)
+
+    @settings(max_examples=400, deadline=None)
+    @given(spec=_assertion_specs(kinds="PC"), period=st.integers(200, 120_000))
+    def test_clock_assertions_read_like_the_engine(self, spec, period):
+        kind, text, units = spec
+        assertion = parse_assertion_spec(kind, text)
+        timebase = _timebase(period, units)
+        config = VerifyConfig()
+        wf = assertion.waveform(timebase, config.clock_skew_ns(kind == "P"))
+        assert edge_runs(*assertion_windows(assertion, timebase, config)) == (
+            IntervalSet(period, wf.rising_windows()),
+            IntervalSet(period, wf.falling_windows()),
+        )
+
+    def test_memoized_per_analysis(self):
+        c = circuit()
+        c.setup_hold("D .S0-4", "CK .C2-3", setup=2.5, hold=1.5)
+        a, b = compute_windows(c), compute_windows(c)
+        pair = a.by_name("CK .C2-3")
+        assert a.edge_runs(*pair) is a.edge_runs(*pair)
+        assert b.edge_runs(*pair) is not a.edge_runs(*pair)
+
+
+SKEWED = "tests/fixtures/skewed_clock.scald"
+
+
+class TestSkewedClock:
+    """The fixture's clock rise and fall windows overlap: the checker's
+    guard spans the whole run, as the engine's does."""
+
+    def test_static_slack_sees_the_whole_run(self):
+        c = MacroExpander.from_file(SKEWED).expand()
+        a = analyze(c)
+        (rec,) = a.slack
+        assert rec.slack_ps == -2_250 and not a.ok
+        result = TimingVerifier(c).verify()
+        assert sorted(result.margins.values()) == [-22_250, -2_250]
+        assert max(result.margins.values()) >= rec.slack_ps
+        assert check_encloses(result, a.windows, a.slack).ok
+
+    def test_scald_sta_reports_negative_slack(self, capsys):
+        from repro.sta.cli import main
+
+        assert main([SKEWED]) == 1
+        out = capsys.readouterr().out
+        assert "su                   D .S0-4 vs CK .C2-3: -2.2 ns" in out
+        assert "statically clean" not in out
+
+
+#: Designs whose engine run files every kind of violation between them.
+_EVERY_KIND = """\
+design EVERYKIND;
+period 50 ns;
+clock_unit 6.25 ns;
+
+prim "SETUP HOLD CHK" su (I="D .S0-4", CK="CK .C2-3") setup=2.5 hold=1.5;
+prim "SETUP RISE HOLD FALL CHK" srhf (I="D .S0-4", CK="CK .P3-5")
+     setup=1.0 hold=1.0;
+prim AND dead (I1="CK .P2-3", I2="GND", OUT="DEAD") delay=1.0:2.0;
+prim "SETUP HOLD CHK" nc (I="D .S0-4", CK="DEAD") setup=1.0 hold=1.0;
+prim "MIN PULSE WIDTH" mpw (I="CK .P2-3") min_high=8.0 min_low=48.0;
+prim BUF late (I="D .S0-6", OUT="Q .S0-4") delay=10.0:12.0;
+"""
+
+
+def _every_kind_designs():
+    """``(circuit, constraints, config)`` of each design in turn."""
+    from repro.constraints import parse_sdc, resolve
+
+    def sdc(c, text):
+        commands, _ = parse_sdc(text)
+        return resolve(commands, c)
+
+    yield MacroExpander.from_source(_EVERY_KIND).expand(), None, None
+    yield figures.fig_1_5_gated_clock(), None, None
+    yield figures.fig_1_5_gated_clock(True), None, None
+    c = MacroExpander.from_file("examples/designs/recovery.scald").expand()
+    yield c, sdc(c, 'create_clock -period 50 -name CK "MAIN CLK .P2-3"\n'
+                    "set_recovery 12 hold\nset_removal 30 hold\n"), None
+    c = circuit()
+    c.buf("D", "DIN .S0-6", delay=(14.0, 16.0))
+    c.latch("Q", "EN .P2-3", "D", delay=(1.0, 2.0), name="lat")
+    yield c, sdc(c, "set_max_time_borrow 1 lat"), VerifyConfig(
+        default_wire_delay_ns=(0.0, 0.0)
+    )
+    c = circuit()
+    c.reg("Q", "CK .P2-3", "D .S0-6", delay=(1.0, 2.0), name="r")
+    yield c, sdc(c, 'create_clock -period 50 -name CK "CK .P2-3"\n'
+                    "set_output_delay 5 -max -clock CK Q\n"
+                    "set_output_delay 1 -min -clock CK Q\n"), None
+
+
+class TestTwinTable:
+    """``slack.TWINS`` states once which static record kinds bound each
+    engine check; an empty row means the check has no static twin."""
+
+    def test_every_violation_kind_has_a_row(self):
+        assert set(TWINS) == set(ViolationKind)
+        record_kinds = {"setup-hold", "output", "recovery", "removal", "borrow"}
+        assert set().union(*TWINS.values()) == record_kinds
+
+    def test_every_filed_check_has_its_row(self):
+        """Whatever the engine's checkers file: a check with a twin meets
+        a record of a kind in its row at the same (component, signal) that
+        claims no positive slack; each check without one counts toward the
+        static passes' ``indeterminate``."""
+        seen = set()
+        for c, constraints, config in _every_kind_designs():
+            result = TimingVerifier(c, config, constraints=constraints).verify()
+            a = analyze(c, config, constraints=constraints)
+            twinless = set()
+            for v in result.violations:
+                seen.add(v.kind)
+                if not TWINS[v.kind]:
+                    twinless.add((v.component, v.signal))
+                    continue
+                twins = [
+                    r
+                    for r in a.slack
+                    if (r.component, r.signal) == (v.component, v.signal)
+                    and r.kind in TWINS[v.kind]
+                ]
+                assert twins, v
+                assert all(not r.slack_ps or r.slack_ps <= 0 for r in twins)
+            assert len(twinless) <= a.indeterminate(), twinless
+        assert seen == set(ViolationKind)
 
 
 class TestDomains:
@@ -474,6 +642,33 @@ class TestEnclosure:
             cc = _assert_enclosed(c)
             assert cc.cases_checked == max(1, len(c.cases))
 
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            lambda: figures.fig_1_5_gated_clock(False),
+            lambda: figures.fig_1_5_gated_clock(True),
+            figures.fig_2_5_register_file,
+            lambda: figures.fig_2_6_case_analysis(True),
+            lambda: figures.fig_2_6_case_analysis(False),
+            figures.fig_3_12_alu_datapath,
+            lambda: figures.fig_4_1_correlation(False),
+            lambda: figures.fig_4_1_correlation(True),
+        ],
+        ids=[
+            "fig_1_5", "fig_1_5_directive", "fig_2_5", "fig_2_6",
+            "fig_2_6_one_case", "fig_3_12", "fig_4_1", "fig_4_1_corr",
+        ],
+    )
+    def test_figures_with_verdicts(self, builder):
+        """Every thesis figure in each variant its flag gives: the windows
+        enclose the engine, and no positive static slack meets an engine
+        violation of a check it bounds."""
+        c = builder()
+        result = TimingVerifier(c).verify()
+        a = analyze(c)
+        cc = check_encloses(result, a.windows, a.slack)
+        assert cc.ok, (cc.failures[:3], cc.verdict_failures[:3])
+
     def test_feedback_design_is_enclosed(self):
         # Widened-to-full windows trivially enclose whatever oscillation
         # the engine settles on — but the path must not crash.
@@ -585,12 +780,14 @@ class TestSurfaces:
         assert main(["/nonexistent/x.scald"]) == 2
 
     def test_scald_tv_crosscheck(self, capsys):
-        """Every shipped design, with and without its sibling .sdc: the
-        static windows enclose the engine's transitions, and each design
-        verifies clean under its constraints."""
+        """Every shipped design, with and without its sibling .sdc, and
+        the pulse-width and skewed-clock fixtures: the static windows
+        enclose the engine's transitions, and each shipped design verifies
+        clean under its constraints."""
         from repro.cli import main
 
-        for path in sorted(glob.glob("examples/designs/*.scald")):
+        fixtures = ["tests/fixtures/pulse_width.scald", SKEWED]
+        for path in sorted(glob.glob("examples/designs/*.scald")) + fixtures:
             sdc = path.removesuffix(".scald") + ".sdc"
             runs = [[path]] + ([[path, "--sdc", sdc]] if Path(sdc).exists() else [])
             for argv in runs:
