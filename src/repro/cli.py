@@ -279,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
         from .core.engine import Engine
         from .reporting.stats import measure_storage
 
-        engine = Engine(circuit, config)
+        engine = Engine(circuit, config, constraints=constraints)
         engine.initialize(circuit.cases[0] if circuit.cases else {})
         engine.run()
         say()

@@ -19,7 +19,8 @@ import heapq
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace as _dc_replace
-from typing import Callable, Iterable, Iterator
+from functools import partial
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from ..netlist.circuit import Circuit, Component, Connection, Net, parse_lane_ref
 from .checks import (
@@ -58,6 +59,8 @@ _ZERO_GATE = frozenset("ZH")
 _ASSUME = frozenset("AH")
 
 _GATE_PRIMS = frozenset(GATE_FUNCTIONS)
+
+_T = TypeVar("_T")
 
 #: Primitives whose output breaks a combinational cycle when ranking the
 #: evaluation order (every legal feedback path runs through one of these,
@@ -490,14 +493,14 @@ class Engine:
     def initialize(self, case: dict[str, int] | None = None, timebase=None) -> None:
         """Set every signal to its starting value and queue all primitives.
 
-        ``timebase`` runs the circuit at another clock period (an Fmax
-        probe's); by default the run uses the circuit's own.
+        A pinned net starts at its :meth:`_source` under ``case``, a
+        driven net at UNKNOWN; no store counts as an event.  ``timebase``
+        runs the circuit at another clock period (an Fmax probe's); by
+        default the run uses the circuit's own.
         """
         timebase = timebase or self.circuit.timebase
         self.timebase, self.period = timebase, timebase.period_ps
         self.values.clear()
-        self._fixed.clear()
-        self.xref_assumed_stable.clear()
         self._eval_counts.clear()
         self._gating.clear()
         self._queue.clear()
@@ -511,12 +514,8 @@ class Engine:
         )
         self._lanes.clear()
         self._case_map, self._lane_case = self._build_case_map(case or {})
-        for rep in self.circuit.representatives():
-            raw, caseable = self._initial_value_raw(rep)
-            base = self._apply_case(rep, raw) if caseable else raw
-            self.values[rep] = base = self._intern(base)
-            self._set_initial_lanes(rep, raw, base, caseable)
         self._word_needed = bool(self._lane_case)
+        self._pin_sources(fresh=True)
         for comp in self.circuit.iter_components():
             if not comp.prim.is_checker:
                 self._enqueue(comp)
@@ -565,48 +564,31 @@ class Engine:
             return wf
         return wf.mapped(lambda v: target if v is STABLE else v)
 
-    def _set_initial_lanes(
-        self, rep: Net, raw: Waveform, base: Waveform, caseable: bool
-    ) -> None:
-        """Record per-lane initial overrides where a lane case key differs."""
-        lc = self._lane_case.get(rep)
-        if not lc or not caseable:
-            return
-        over: dict[int, Waveform] = {}
-        for lane in sorted(lc):
-            wf = self._intern(self._apply_lane_case(rep, lane, raw))
-            if wf != base:
-                over[lane] = wf
-        if over:
-            self._lanes[rep] = over
+    def _source(self, rep: Net) -> tuple[Waveform, bool, bool] | None:
+        """Where a net's value comes from when it is not its driver's.
 
-    def _initial_value_raw(self, rep: Net) -> tuple[Waveform, bool]:
-        """The pre-case initial value, plus whether case mapping applies.
-
-        The raw waveform is what a lane case key re-maps per lane; the
-        ``caseable`` flag is False exactly for the branches the scalar path
-        never case-mapped (supplies, clock assertions, driven-UNKNOWN).
+        None for a driven net.  Otherwise the pinned raw waveform, whether
+        case analysis maps it, and whether the net is assumed stable.  A
+        pure function of the net, the timebase and the constraints, so a
+        fresh run, a case switch and an incremental re-entry all start a
+        pinned net from the same value.
         """
         name = rep.base_name.upper()
         if name in _SUPPLY:
-            self._fixed.add(rep)
-            return Waveform.constant(self.period, _SUPPLY[name]), False
+            return Waveform.constant(self.period, _SUPPLY[name]), False, False
         assertion = rep.assertion
-        driven = rep in self._drivers
         if assertion is not None and assertion.kind.is_clock:
             # Clock assertions pin the signal for the whole run.
-            self._fixed.add(rep)
             skew = self.config.clock_skew_ns(
                 assertion.kind.name == "PRECISION_CLOCK"
             )
-            return assertion.waveform(self.timebase, skew), False
-        if driven:
-            return Waveform.constant(self.period, UNKNOWN), False
+            return assertion.waveform(self.timebase, skew), False, False
+        if rep in self._drivers:
+            return None
         if assertion is not None:
             # Interface signal: the designer's assertion drives it until
             # hardware generates it (section 2.5.2).
-            self._fixed.add(rep)
-            return assertion.waveform(self.timebase), True
+            return assertion.waveform(self.timebase), True, False
         if self.constraints is not None:
             spec = self.constraints.input_delay_for(rep.name)
             if spec is not None:
@@ -621,18 +603,64 @@ class Engine:
                     spec, self.circuit, self.config, self.timebase
                 )
                 if spans:
-                    self._fixed.add(rep)
                     wf = Waveform.from_intervals(
                         self.period,
                         STABLE,
                         [(lo, hi, CHANGE) for lo, hi in spans],
                     )
-                    return wf, True
+                    return wf, True, False
         # Undefined signal with no assertion: taken to be always stable and
         # put on a special cross-reference listing (section 2.5).
-        self._fixed.add(rep)
-        self.xref_assumed_stable.append(rep.name)
-        return Waveform.constant(self.period, STABLE), True
+        return Waveform.constant(self.period, STABLE), True, True
+
+    def _cased(
+        self, rep: Net, raw: Waveform, caseable: bool
+    ) -> tuple[Waveform, dict[int, Waveform]]:
+        """A pinned net's interned word under the current case: the base,
+        and the lanes whose lane case key sets them apart from it."""
+        if not caseable:
+            return self._intern(raw), {}
+        base = self._intern(self._apply_case(rep, raw))
+        over: dict[int, Waveform] = {}
+        for lane in sorted(self._lane_case.get(rep, ())):
+            wf = self._intern(self._apply_lane_case(rep, lane, raw))
+            if wf != base:
+                over[lane] = wf
+        return base, over
+
+    def _pin_sources(self, fresh: bool) -> int:
+        """Classify every net and give each pinned net its start value.
+
+        Rebuilds the pinned set and the assumed-stable cross-reference.  A
+        ``fresh`` run sets the values silently and starts driven nets at
+        UNKNOWN; otherwise driven nets keep their converged values and a
+        pinned net whose word changed is committed as an event.  Returns
+        the number of nets whose stored word was kept.
+        """
+        self._fixed.clear()
+        self.xref_assumed_stable.clear()
+        kept = 0
+        for rep in self.circuit.representatives():
+            source = self._source(rep)
+            if source is None:
+                if fresh:
+                    unknown = Waveform.constant(self.period, UNKNOWN)
+                    self.values[rep] = self._intern(unknown)
+                else:
+                    kept += 1
+                continue
+            raw, caseable, assumed = source
+            self._fixed.add(rep)
+            if assumed:
+                self.xref_assumed_stable.append(rep.name)
+            base, over = self._cased(rep, raw, caseable)
+            if fresh:
+                self.values[rep] = base
+                if over:
+                    self._lanes[rep] = over
+            elif not self._commit(rep, base, over):
+                kept += 1
+        return kept
 
     # ------------------------------------------------------------------
     # fixed point
@@ -680,23 +708,26 @@ class Engine:
         rep = self.circuit.find(conn.net)
         if rep in self._fixed:
             return  # assertion or supply wins over the driver
-        width = rep.width
         n = len(lane_out)
-        finals = [
-            self._intern(
-                self._apply_lane_case(
-                    rep, lane, lane_out[lane] if lane < n else lane_out[lane % n]
-                )
-            )
-            for lane in range(width)
-        ]
-        word = WordWave.from_lanes(finals)
-        base, over = word.base, word.overrides
-        prev_base = self.values.get(rep)
-        if (prev_base is base or prev_base == base) and self._lanes.get(
-            rep, {}
-        ) == over:
-            return
+        word = WordWave.from_lanes(
+            [
+                self._intern(self._apply_lane_case(rep, lane, lane_out[lane % n]))
+                for lane in range(rep.width)
+            ]
+        )
+        self._commit(rep, word.base, word.overrides)
+
+    def _commit(
+        self, rep: Net, base: Waveform, over: dict[int, Waveform]
+    ) -> bool:
+        """Store a net's word (base plus lane overrides) if it changed.
+
+        A change is one event, whatever the net's width, and queues the
+        net's loads; returns whether the word changed.
+        """
+        prev = self.values.get(rep)
+        if (prev is base or prev == base) and self._lanes.get(rep, {}) == over:
+            return False
         self.values[rep] = base
         if over:
             self._lanes[rep] = dict(over)
@@ -704,10 +735,11 @@ class Engine:
         else:
             self._lanes.pop(rep, None)
         self.stats.events += 1
-        if width > 1:
+        if rep.width > 1:
             self.stats.vector_events += 1
         for load in self._loads.get(rep, ()):
             self._enqueue(load)
+        return True
 
     def run(self) -> int:
         """Drain the worklist to a fixed point; returns events processed."""
@@ -744,7 +776,15 @@ class Engine:
             yield index, events, self.check(case_index=index)
 
     def apply_case(self, case: dict[str, int]) -> None:
-        """Switch to the next case, disturbing only affected signals."""
+        """Switch to the next case, disturbing only affected signals.
+
+        A driven net whose case keys changed has its driver re-evaluated,
+        which re-stores the value through the new case mapping (the word
+        path also refreshes any stale lane overrides at that store).  An
+        undriven one is re-pinned from :meth:`_source` exactly as
+        :meth:`initialize` pins it, so the case switch converges to what a
+        fresh run of ``case`` converges to.
+        """
         new_map, new_lanes = self._build_case_map(case)
         affected = {
             rep
@@ -759,43 +799,15 @@ class Engine:
         }
         self._case_map = new_map
         self._lane_case = new_lanes
-        self._word_needed = bool(self._lane_case)
         for rep in affected:
             if rep in self._drivers:
-                # Re-evaluating the driver re-stores the value through the
-                # new case mapping (the word path also refreshes any stale
-                # lane overrides at that store).
                 self._enqueue(self._drivers[rep][0])
             else:
-                raw, caseable = self._case_change_raw(rep)
-                base = self._intern(self._apply_case(rep, raw)) if caseable else raw
-                over: dict[int, Waveform] = {}
-                lc = self._lane_case.get(rep)
-                if lc and caseable:
-                    for lane in sorted(lc):
-                        wf = self._intern(self._apply_lane_case(rep, lane, raw))
-                        if wf != base:
-                            over[lane] = wf
-                if self.values.get(rep) != base or self._lanes.get(rep, {}) != over:
-                    self.values[rep] = base
-                    if over:
-                        self._lanes[rep] = over
-                        self.stats.lane_splits += 1
-                    else:
-                        self._lanes.pop(rep, None)
-                    self.stats.events += 1
-                    if rep.width > 1:
-                        self.stats.vector_events += 1
-                    for load in self._loads.get(rep, ()):
-                        self._enqueue(load)
-
-    def _case_change_raw(self, rep: Net) -> tuple[Waveform, bool]:
-        assertion = rep.assertion
-        if assertion is not None and not assertion.kind.is_clock:
-            return assertion.waveform(self.timebase), True
-        if assertion is None and rep.base_name.upper() not in _SUPPLY:
-            return Waveform.constant(self.period, STABLE), True
-        return self.values[rep], False
+                raw, caseable, _assumed = self._source(rep)
+                self._commit(rep, *self._cased(rep, raw, caseable))
+        # The scalar store never clears lane overrides, so a word an earlier
+        # case split keeps the word path on until its driver merges it.
+        self._word_needed = bool(self._lane_case or self._lanes)
 
     # ------------------------------------------------------------------
     # incremental re-verification (repro.session / repro.incremental)
@@ -863,10 +875,9 @@ class Engine:
         1. ``apply_case`` switches from the last run's final case mapping
            back to ``case`` (normally ``cases[0]``), disturbing exactly
            the case-affected signals.
-        2. A reclassification scan re-derives the initial-value class of
-           every representative (supply / clock assertion / driven /
-           asserted / input-delay / assumed-stable) — edits can move nets
-           between classes — re-storing fixed-class nets whose waveform
+        2. The reclassification scan, the same one :meth:`initialize`
+           runs, re-reads every net's :meth:`_source` (edits can move
+           nets between classes), committing each pinned net whose word
            changed and rebuilding the assumed-stable cross-reference.
            Driven nets keep their stored waveforms (counted as
            ``reused_waveforms``).
@@ -888,41 +899,9 @@ class Engine:
             incremental_runs=1,
         )
         self.apply_case(case or {})
-        reused = 0
-        self._fixed.clear()
-        self.xref_assumed_stable.clear()
-        for rep in self.circuit.representatives():
-            raw, caseable = self._initial_value_raw(rep)
-            if rep not in self._fixed:
-                # Driven net: its stored waveform is the converged value
-                # unless an upstream evaluation stores a new one.
-                reused += 1
-                continue
-            base = self._intern(self._apply_case(rep, raw) if caseable else raw)
-            over: dict[int, Waveform] = {}
-            lc = self._lane_case.get(rep)
-            if lc and caseable:
-                for lane in sorted(lc):
-                    wf = self._intern(self._apply_lane_case(rep, lane, raw))
-                    if wf != base:
-                        over[lane] = wf
-            if self.values.get(rep) == base and self._lanes.get(rep, {}) == over:
-                reused += 1
-                continue
-            self.values[rep] = base
-            if over:
-                self._lanes[rep] = over
-                self.stats.lane_splits += 1
-            else:
-                self._lanes.pop(rep, None)
-            self.stats.events += 1
-            if rep.width > 1:
-                self.stats.vector_events += 1
-            for load in self._loads.get(rep, ()):
-                self._enqueue(load)
+        self.stats.reused_waveforms = self._pin_sources(fresh=False)
         for comp in dirty:
             self._enqueue(comp)
-        self.stats.reused_waveforms = reused
         self.stats.dirty_primitives = len(self._dirty_cone(dirty))
 
     # ------------------------------------------------------------------
@@ -1019,34 +998,32 @@ class Engine:
         self._store(comp.pins["OUT"], out)
 
     def _evaluate_word(self, comp: Component) -> None:
-        """Per-lane evaluation of a primitive with diverged inputs.
+        """Per-lane evaluation of a primitive with diverged inputs (the runs
+        share the content-addressed memo with the scalar path)."""
+        lane_out, _groups = self._per_lane(comp, partial(self._model_output, comp))
+        self._store_word(comp.pins["OUT"], lane_out)
 
-        Lanes whose input tuples agree share one model run (and the runs
-        themselves share the content-addressed memo with the scalar path),
-        so a word primitive costs one evaluation per *divergence group*,
-        not one per bit.
+    def _per_lane(
+        self, comp: Component, run: Callable[..., _T]
+    ) -> tuple[list[_T], int]:
+        """Call ``run(raw_of, prepared_of)`` once per group of lanes whose
+        raw inputs agree; return each lane's result and the group count.
+
+        So a word primitive or checker costs one run per *divergence
+        group*, not one per bit.
         """
         in_conns = self._input_conns(comp)
-        cache: dict[tuple[Waveform, ...], Waveform] = {}
-        lane_out: list[Waveform] = []
+        groups: dict[tuple[Waveform, ...], _T] = {}
+        results: list[_T] = []
         for lane in range(comp.width):
             key = tuple(self._lane_raw(conn, lane) for conn in in_conns)
-            out = cache.get(key)
-            if out is None:
-
-                def raw_of(conn: Connection, _lane: int = lane) -> Waveform:
-                    return self._lane_raw(conn, _lane)
-
-                def prepared_of(
-                    conn: Connection,
-                    zero_wire: bool = False,
-                    _lane: int = lane,
-                ) -> Waveform:
-                    return self._lane_prepared(conn, _lane, zero_wire)
-
-                out = cache[key] = self._model_output(comp, raw_of, prepared_of)
-            lane_out.append(out)
-        self._store_word(comp.pins["OUT"], lane_out)
+            if key not in groups:
+                groups[key] = run(
+                    partial(self._lane_raw, lane=lane),
+                    partial(self._lane_prepared, lane=lane),
+                )
+            results.append(groups[key])
+        return results, len(groups)
 
     def _model_output(
         self,
@@ -1192,7 +1169,7 @@ class Engine:
             if not comp.prim.is_checker:
                 continue
             violations.extend(self._check_one(comp, case_index, margins))
-        violations.extend(self._check_gating(case_index))
+        violations.extend(self._check_gating(case_index, margins))
         if self.config.check_assertions:
             violations.extend(self._check_assertions(case_index))
         if self.constraints is not None:
@@ -1234,55 +1211,36 @@ class Engine:
             component = f"{comp.name} [{lane}]"
         return (component, kind, self._suffix_name(signal, lane), case_index)
 
-    def _lane_variants(
+    def _run_check(
         self,
         comp: Component,
         case_index: int,
         impl,
         margins: dict[MarginKey, int],
     ) -> list[Violation]:
-        """Run a checker body once per divergence group, relabelled per lane.
+        """Run one checker body on ``comp``, per lane group if it diverged.
 
         ``impl(comp, case_index, raw_of, prepared_of, margins)`` must
-        produce records and margins with unsuffixed names; lanes whose
-        inputs agree reuse one run.  When every lane lands in the same group
-        the word has not really diverged at this checker, and the single
-        run's records come back unsuffixed — byte-identical to the scalar
-        path (the per-bit comparison expands an unsuffixed record over the
-        full width, so blast parity holds).
+        produce records and margins with unsuffixed names.  When every
+        lane lands in the same group the word has not really diverged at
+        this checker, and the single run's records come back unsuffixed —
+        byte-identical to the scalar path (the per-bit comparison expands
+        an unsuffixed record over the full width, so blast parity holds).
         """
-        in_conns = self._input_conns(comp)
-        cache: dict[
-            tuple[Waveform, ...], tuple[list[Violation], dict[MarginKey, int]]
-        ] = {}
-        lanes: list[tuple[int, tuple[list[Violation], dict[MarginKey, int]]]] = []
-        for lane in range(comp.width):
-            key = tuple(self._lane_raw(conn, lane) for conn in in_conns)
-            entry = cache.get(key)
-            if entry is None:
+        if not (self._word_needed and self._comp_diverged(comp)):
+            return impl(comp, case_index, self._raw_of, self.prepared_input, margins)
 
-                def raw_of(conn: Connection, _lane: int = lane) -> Waveform:
-                    return self._lane_raw(conn, _lane)
+        def run(raw_of, prepared_of):
+            found: dict[MarginKey, int] = {}
+            return impl(comp, case_index, raw_of, prepared_of, found), found
 
-                def prepared_of(
-                    conn: Connection,
-                    zero_wire: bool = False,
-                    _lane: int = lane,
-                ) -> Waveform:
-                    return self._lane_prepared(conn, _lane, zero_wire)
-
-                found: dict[MarginKey, int] = {}
-                entry = cache[key] = (
-                    impl(comp, case_index, raw_of, prepared_of, found),
-                    found,
-                )
-            lanes.append((lane, entry))
-        if len(cache) == 1:
-            records, found = lanes[0][1]
+        lanes, groups = self._per_lane(comp, run)
+        if groups == 1:
+            records, found = lanes[0]
             margins.update(found)
-            return list(records)
+            return records
         out: list[Violation] = []
-        for lane, (records, found) in lanes:
+        for lane, (records, found) in enumerate(lanes):
             out.extend(self._relabel(comp, v, lane) for v in records)
             for key, margin in found.items():
                 margins[self._relabel_margin(comp, key, lane)] = margin
@@ -1321,14 +1279,10 @@ class Engine:
     def _check_one(
         self, comp: Component, case_index: int, margins: dict[MarginKey, int]
     ) -> list[Violation]:
-        if self._word_needed and self._comp_diverged(comp):
-            return self._lane_variants(
-                comp, case_index, self._check_one_impl, margins
-            )
-        if not self.config.optimized:
-            return self._check_one_impl(
-                comp, case_index, self._raw_of, self.prepared_input, margins
-            )
+        if not self.config.optimized or (
+            self._word_needed and self._comp_diverged(comp)
+        ):
+            return self._run_check(comp, case_index, self._check_one_impl, margins)
         key = self._checker_key(comp, case_index)
         memo = self._check_memo
         cached = memo.get(key)
@@ -1440,41 +1394,20 @@ class Engine:
         out: list[Violation] = []
         for comp in self.circuit.iter_components():
             prim = comp.prim.name
-            has_rs = (
-                prim in ("REG_RS", "LATCH_RS")
-                and cs.rs_for(comp.name) is not None
-            )
-            has_borrow = (
-                prim in ("LATCH", "LATCH_RS")
-                and cs.borrow_for(comp.name) is not None
-            )
-            if not has_rs and not has_borrow:
-                continue
-            diverged = self._word_needed and self._comp_diverged(comp)
-            for wanted, impl in (
-                (has_rs, self._check_rs_impl),
-                (has_borrow, self._check_borrow_impl),
-            ):
-                if not wanted:
-                    continue
-                if diverged:
-                    out.extend(self._lane_variants(comp, case_index, impl, margins))
-                else:
-                    out.extend(
-                        impl(
-                            comp,
-                            case_index,
-                            self._raw_of,
-                            self.prepared_input,
-                            margins,
-                        )
-                    )
+            if prim in ("REG_RS", "LATCH_RS") and cs.rs_for(comp.name) is not None:
+                out.extend(
+                    self._run_check(comp, case_index, self._check_rs_impl, margins)
+                )
+            if prim in ("LATCH", "LATCH_RS") and cs.borrow_for(comp.name) is not None:
+                out.extend(
+                    self._run_check(comp, case_index, self._check_borrow_impl, margins)
+                )
         for spec in cs.output_delays:
             out.extend(self._check_output_delay(spec, case_index, margins))
         return out
 
-    # Recovery, removal and borrow checks file no margins; their bodies
-    # take ``margins`` only to share _lane_variants' signature.
+    # Recovery, removal, borrow and gating checks file no margins; their
+    # bodies take ``margins`` only to share _run_check's signature.
 
     def _check_rs_impl(
         self, comp: Component, case_index: int, raw_of, prepared_of, margins
@@ -1612,35 +1545,23 @@ class Engine:
             margins=margins,
         )
 
-    def _check_gating(self, case_index: int) -> list[Violation]:
+    def _check_gating(
+        self, case_index: int, margins: dict[MarginKey, int]
+    ) -> list[Violation]:
         """The ``&A``/``&H`` stability checks recorded during evaluation."""
         out: list[Violation] = []
-        for comp_name, directive_pin in sorted(self._gating.items()):
+        for comp_name in sorted(self._gating):
             comp = self.circuit.components[comp_name]
-            if self._word_needed and self._comp_diverged(comp):
-
-                def impl(
-                    c, ci, raw_of, prepared_of, margins, _pin: str = directive_pin
-                ) -> list[Violation]:
-                    return self._check_gating_impl(c, _pin, ci, raw_of, prepared_of)
-
-                out.extend(self._lane_variants(comp, case_index, impl, {}))
-            else:
-                out.extend(
-                    self._check_gating_impl(
-                        comp,
-                        directive_pin,
-                        case_index,
-                        self._raw_of,
-                        self.prepared_input,
-                    )
-                )
+            out.extend(
+                self._run_check(comp, case_index, self._check_gating_impl, margins)
+            )
         return out
 
     def _check_gating_impl(
-        self, comp: Component, directive_pin: str, case_index: int, raw_of, prepared_of
+        self, comp: Component, case_index: int, raw_of, prepared_of, margins
     ) -> list[Violation]:
         out: list[Violation] = []
+        directive_pin = self._gating[comp.name]
         clock_conn = comp.pins[directive_pin]
         raw = raw_of(clock_conn)
         letter, _rest = self._directive_letter(clock_conn, raw)

@@ -17,6 +17,11 @@ prim "SETUP HOLD CHK" s (I="D .S0-6", CK="CK .P2-3") setup=2.5 hold=1.5;
 
 FAILING = CLEAN.replace('.S0-6', '.S3-6')
 
+#: An input-delay port under case analysis; its header derives case 1's
+#: setup miss of 1.5 ns.
+CASED_PORT = ["tests/fixtures/cased_port.scald",
+              "--sdc", "tests/fixtures/cased_port.sdc"]
+
 
 @pytest.fixture
 def clean_file(tmp_path):
@@ -92,6 +97,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "STORAGE REQUIRED" in out
         assert "signal values" in out
+
+    def test_storage_measures_the_run_constraints(self, monkeypatch):
+        """The measured engine runs under --sdc: the cased port carries
+        its input-delay windows, not an assumed-stable value."""
+        from repro.reporting import stats
+
+        engines = []
+        measure = stats.measure_storage
+
+        def spy(engine):
+            engines.append(engine)
+            return measure(engine)
+
+        monkeypatch.setattr(stats, "measure_storage", spy)
+        assert main([*CASED_PORT, "--storage"]) == 1
+        (engine,) = engines
+        assert engine.constraints is not None
+        assert engine.xref_assumed_stable == []
+        assert engine.waveform_of("PORT").describe() == "C 10.5 0 17.5 C"
 
     def test_explain_flag(self, failing_file, capsys):
         assert main([failing_file, "--explain"]) == 1
@@ -271,10 +295,17 @@ class TestJobsFlag:
     def test_jobs_preserves_failure_exit_and_listing(self, tmp_path, capsys):
         path = tmp_path / "failing_cases.scald"
         path.write_text(FAILING + 'case "SEL" = 0;\ncase "SEL" = 1;\n')
-        assert main([str(path)]) == 1
-        serial = capsys.readouterr().out
-        assert main([str(path), "--jobs", "2"]) == 1
-        assert capsys.readouterr().out == serial
+        # The serial run reaches the cased port's case 1 by a case switch,
+        # its pool worker from a fresh start.
+        for argv in ([str(path)], CASED_PORT):
+            assert main(argv) == 1
+            serial = capsys.readouterr().out
+            assert main([*argv, "--jobs", "2"]) == 1
+            assert capsys.readouterr().out == serial
+        assert (
+            "su: SETUP time violated on 'D' (required 2.5 ns missed by "
+            "1.5 ns) [window 9.0..13.5 ns] (case 1)"
+        ) in serial
 
     def test_zero_jobs_rejected(self, clean_file, capsys):
         assert main([clean_file, "--jobs", "0"]) == 2

@@ -115,20 +115,67 @@ class TestDeterminism:
             assert sum(w for _v, w in wf.segments) == c.period_ps, name
 
     def test_case_order_independence(self):
-        """Whatever order the cases run in, each case's converged state is
-        the same — incremental re-evaluation has no history dependence."""
-        def build(order):
+        """Whatever order the cases run in, each case's converged state and
+        verdict are the same — incremental re-evaluation has no history
+        dependence."""
+        from repro.constraints import load_constraints
+        from repro.hdl.expander import MacroExpander
+
+        def mux():
             c = circuit()
             c.mux("OUT", selects=["SEL .S0-8"], inputs=["A .S0-6", "B .S2-8"],
                   delay=(1.0, 2.0), name="m")
-            for bit in order:
+            for bit in (0, 1):
                 c.add_case_by_name({"SEL .S0-8": bit})
-            return TimingVerifier(c, EXACT).verify()
+            return c, None, EXACT
 
-        fwd = build([0, 1])
-        rev = build([1, 0])
-        assert fwd.cases[0].waveforms == rev.cases[1].waveforms
-        assert fwd.cases[1].waveforms == rev.cases[0].waveforms
+        def cased_port():
+            # An input-delay port under case analysis (the fixture's
+            # header derives case 1's setup miss).
+            path = "tests/fixtures/cased_port"
+            c = MacroExpander.from_file(f"{path}.scald").expand()
+            return c, load_constraints(f"{path}.sdc", c), VerifyConfig()
+
+        def split_word():
+            # Case 0 splits Q's lanes 0 and 5 off; case 1 keys no lane, so
+            # Q's driver stores through the scalar path; case 2 keys a
+            # lane of F only.  Q is one word again in cases 1 and 2.
+            c = Circuit("word", period_ns=50.0, clock_unit_ns=12.5)
+            en, q = c.net("EN .S0-6", width=8), c.net("Q", width=8)
+            c.gate("AND", q, ["D .C1-2", en], delay=(2.0, 3.0), name="g",
+                   width=8)
+            for net, name in ((q, "su"), (c.net("F .S0-6", width=8), "suf")):
+                c.setup_hold(net, "PHI .P2-3", setup=10.0, hold=2.0,
+                             name=name, width=8)
+            for case in (
+                {"EN .S0-6 [0]": 0, "EN .S0-6 [5]": 0},
+                {"EN .S0-6": 1},
+                {"EN .S0-6": 1, "F .S0-6 [0]": 0},
+            ):
+                c.add_case_by_name(case)
+            return c, None, VerifyConfig()
+
+        def verdict(result, case):
+            return [
+                (v.component, v.kind, v.signal, v.missed_by_ps)
+                for v in result.violations
+                if v.case_index == case
+            ]
+
+        for build in (mux, cased_port, split_word):
+            runs = []
+            for reverse in (False, True):
+                c, cons, config = build()
+                if reverse:
+                    c.cases.reverse()
+                runs.append(
+                    TimingVerifier(c, config, constraints=cons).verify()
+                )
+            fwd, rev = runs
+            last = len(fwd.cases) - 1
+            for i in range(last + 1):
+                assert fwd.cases[i].waveforms == rev.cases[last - i].waveforms
+                assert verdict(fwd, i) == verdict(rev, last - i), (build.__name__, i)
 
 
 class TestSymbolicSoundness:

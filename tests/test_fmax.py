@@ -619,6 +619,28 @@ class TestSkewedClock:
         assert res.static_period_ps >= res.period_ps
 
 
+class TestCasedPort:
+    def test_fmax_equals_case_one_alone(self):
+        """Case 1 of tests/fixtures/cased_port.scald binds the period and
+        case 0 holds D at 0, so both searches must answer what they answer
+        on a twin holding case 1 alone: a case switch starts the input-
+        delay port from the windows a fresh run gives it."""
+        from repro.constraints import load_constraints
+
+        answers = []
+        for cases in (slice(None), slice(1, None)):
+            circuit = _scald("tests/fixtures/cased_port.scald")
+            circuit.cases = circuit.cases[cases]
+            cons = load_constraints("tests/fixtures/cased_port.sdc", circuit)
+            answers.append(
+                (
+                    solve_fmax(circuit, constraints=cons).period_ps,
+                    bisect_fmax(circuit, constraints=cons).period_ps,
+                )
+            )
+        assert answers == [(51500, 51500)] * 2
+
+
 class TestSoundnessAssertion:
     """An engine setup or hold violation at a static-clean period breaks
     the crosscheck contract: the search must raise, never step past it."""

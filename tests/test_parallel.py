@@ -223,6 +223,18 @@ class TestConstrainedParallel:
         # flips, so a pool that dropped them could not pass this test.
         bare, _ = self._multicycle()
         assert serial.ok and not verify_parallel(bare, jobs=2).ok
+        # An input-delay port under case analysis: each worker starts its
+        # block fresh, and the serial run reaches case 1 by a case switch
+        # (tests/fixtures/cased_port.scald derives the setup miss).
+        path = "tests/fixtures/cased_port"
+        circuit = MacroExpander.from_file(f"{path}.scald").expand()
+        constraints = load_constraints(f"{path}.sdc", circuit)
+        par = verify_parallel(circuit, jobs=2, constraints=constraints)
+        serial = assert_matches_reference(circuit, par, constraints)
+        assert [
+            (v.component, v.kind.value, v.missed_by_ps, v.case_index)
+            for v in serial.violations
+        ] == [("su", "setup", 1500, 1)]
 
     def test_constrained_sections_match_serial(self):
         """Each section verifies under its own constraint set."""
